@@ -184,6 +184,13 @@ DenseBitset DenseBitset::FromWords(std::vector<uint64_t> words,
   return bits;
 }
 
+DenseBitset DenseBitset::Uninitialized(VertexId num_bits) {
+  DenseBitset bits;
+  bits.words_.resize((static_cast<size_t>(num_bits) + 63) / 64);
+  bits.num_bits_ = num_bits;
+  return bits;
+}
+
 uint64_t DenseBitset::Count() const {
   return simd::ActiveWordKernels().popcount(words_.data(), words_.size());
 }

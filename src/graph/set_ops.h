@@ -42,6 +42,7 @@
 #include <cstdint>
 #include <new>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "graph/bipartite_graph.h"
@@ -75,6 +76,17 @@ class AlignedAllocator {
     ::operator delete(p, n * sizeof(T), std::align_val_t(Alignment));
   }
 
+  // Value-less construction default-initializes, so resize() leaves words
+  // unwritten (DenseBitset::Uninitialized); an explicit value is copied.
+  template <typename U>
+  void construct(U* p) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+
   friend bool operator==(const AlignedAllocator&, const AlignedAllocator&) {
     return true;
   }
@@ -83,6 +95,11 @@ class AlignedAllocator {
 }  // namespace detail
 
 /// 64-byte-aligned word storage — the representation behind DenseBitset.
+/// Unlike std::vector<uint64_t>, value-less growth does NOT zero: the
+/// count constructor AlignedWordVector(n) and resize(n) leave the new
+/// words holding whatever the allocation held (DenseBitset::Uninitialized
+/// relies on it). Pass the value explicitly — AlignedWordVector(n, 0),
+/// resize(n, 0) — wherever the words must read as zero.
 using AlignedWordVector =
     std::vector<uint64_t, detail::AlignedAllocator<uint64_t, 64>>;
 
@@ -108,6 +125,12 @@ class DenseBitset {
   static DenseBitset FromWords(std::vector<uint64_t> words,
                                VertexId num_bits);
 
+  /// A bitset over `num_bits` ids whose words are allocated but left
+  /// unwritten, for a producer that then writes every word through
+  /// MutableWords(). Separates allocating the storage from the first
+  /// touch of its pages, so the two can happen on different threads.
+  static DenseBitset Uninitialized(VertexId num_bits);
+
   VertexId NumBits() const { return num_bits_; }
 
   void Set(VertexId i) { words_[i >> 6] |= uint64_t{1} << (i & 63); }
@@ -120,6 +143,11 @@ class DenseBitset {
   uint64_t Count() const;
 
   std::span<const uint64_t> Words() const { return words_; }
+
+  /// Writable word storage, for producers that fill whole words (the RR
+  /// bitmap sampler). The writer must leave every bit at or beyond
+  /// NumBits() zero.
+  std::span<uint64_t> MutableWords() { return words_; }
 
   /// Set bits in ascending id order; no sort needed, bit iteration is
   /// naturally ordered. `hint` pre-reserves the output.

@@ -15,6 +15,15 @@ double FlipProbability(double epsilon) {
   return 1.0 / (1.0 + std::exp(epsilon));
 }
 
+uint64_t BernoulliThreshold(double p) {
+  if (!(p > 0.0)) return 0;
+  if (p >= 1.0) return kBernoulliOne;
+  // p·2⁵³ is exact (a power-of-two scale), and for an integer u,
+  // u < p·2⁵³ exactly when u < ⌈p·2⁵³⌉.
+  return static_cast<uint64_t>(
+      std::ceil(p * static_cast<double>(kBernoulliOne)));
+}
+
 NoisyNeighborSet::NoisyNeighborSet(std::vector<VertexId> members,
                                    VertexId domain_size,
                                    double flip_probability)
@@ -133,70 +142,60 @@ NoisyNeighborSet SampleSorted(std::span<const VertexId> neighbors,
   return NoisyNeighborSet::FromSortedUnique(std::move(members), domain, p);
 }
 
-// Dense-regime sampler: writes the release directly into bitmap words.
-// Same output distribution as SampleSorted (and as bit-by-bit RR), at
-// O(d + pn + n/64) with no sorted vector ever materialized.
-NoisyNeighborSet SampleBitmap(std::span<const VertexId> neighbors,
-                              VertexId domain, double p, Rng& rng) {
-  const uint64_t degree = neighbors.size();
-  DenseBitset bits(domain);
-  for (VertexId v : neighbors) {
-    if (!rng.Bernoulli(p)) bits.Set(v);
+// Dense-regime sampler: the release is the adjacency row XOR an iid
+// Bernoulli(p) flip mask, built a word at a time into `bits` (storage over
+// the domain, contents overwritten). O(n/64 + d).
+NoisyNeighborSet SampleBitmap(DenseBitset bits,
+                              std::span<const VertexId> neighbors, double p,
+                              Rng& rng) {
+  const VertexId domain = bits.NumBits();
+  const std::span<uint64_t> words = bits.MutableWords();
+  const uint64_t threshold = BernoulliThreshold(p);
+  for (uint64_t& word : words) {
+    word = BernoulliMaskWord(threshold, [&rng] { return rng.NextU64(); });
   }
-
-  const uint64_t num_non_neighbors = static_cast<uint64_t>(domain) - degree;
-  uint64_t flips = rng.Binomial(num_non_neighbors, p);
-  if (flips == 0) return NoisyNeighborSet(std::move(bits), p);
-
-  if ((num_non_neighbors - flips) * 8 >= domain) {
-    // Rejection sampling draws a uniform flips-subset of the non-neighbors:
-    // reject survivors and earlier flip-ins via the bitmap (O(1)) and
-    // non-surviving true neighbors via binary search. The gate keeps the
-    // acceptance rate at ≥ 1/8, so expected trials stay O(flips).
-    while (flips > 0) {
-      const VertexId v = static_cast<VertexId>(rng.UniformInt(domain));
-      if (bits.Test(v) ||
-          std::binary_search(neighbors.begin(), neighbors.end(), v)) {
-        continue;
-      }
-      bits.Set(v);
-      --flips;
-    }
-  } else {
-    // Nearly every non-neighbor flips in (or nearly everything is a
-    // neighbor): enumerate the complement once and Floyd-sample among it.
-    std::vector<VertexId> complement;
-    complement.reserve(num_non_neighbors);
-    size_t ni = 0;
-    for (VertexId v = 0; v < domain; ++v) {
-      if (ni < neighbors.size() && neighbors[ni] == v) {
-        ++ni;
-        continue;
-      }
-      complement.push_back(v);
-    }
-    for (uint64_t idx : rng.SampleWithoutReplacement(num_non_neighbors,
-                                                     flips)) {
-      bits.Set(complement[idx]);
-    }
-  }
+  // Lanes past the domain were drawn (keeping the stream a function of the
+  // word count) but are not part of the release.
+  if (domain % 64 != 0) words.back() &= (uint64_t{1} << (domain % 64)) - 1;
+  for (VertexId v : neighbors) words[v >> 6] ^= uint64_t{1} << (v & 63);
   return NoisyNeighborSet(std::move(bits), p);
+}
+
+// The one place a release's representation is decided.
+bool ReleasesBitmap(const BipartiteGraph& graph, LayeredVertex vertex,
+                    double epsilon, RrStorage storage) {
+  if (storage != RrStorage::kAuto) return storage == RrStorage::kBitmap;
+  return UseBitmapStorage(graph.Degree(vertex),
+                          graph.NumVertices(Opposite(vertex.layer)), epsilon);
 }
 
 }  // namespace
 
 NoisyNeighborSet ApplyRandomizedResponse(const BipartiteGraph& graph,
                                          LayeredVertex vertex, double epsilon,
-                                         Rng& rng, RrStorage storage) {
+                                         Rng& rng, RrStorage storage,
+                                         DenseBitset bitmap_storage) {
   const double p = FlipProbability(epsilon);
   const auto neighbors = graph.Neighbors(vertex);
   const VertexId domain = graph.NumVertices(Opposite(vertex.layer));
-  const bool bitmap =
-      storage == RrStorage::kAuto
-          ? UseBitmapStorage(neighbors.size(), domain, epsilon)
-          : storage == RrStorage::kBitmap;
-  return bitmap ? SampleBitmap(neighbors, domain, p, rng)
-                : SampleSorted(neighbors, domain, p, epsilon, rng);
+  if (!ReleasesBitmap(graph, vertex, epsilon, storage)) {
+    CNE_CHECK(bitmap_storage.NumBits() == 0)
+        << "bitmap storage passed for a sorted release";
+    return SampleSorted(neighbors, domain, p, epsilon, rng);
+  }
+  if (bitmap_storage.NumBits() == 0) {
+    bitmap_storage = DenseBitset::Uninitialized(domain);
+  }
+  CNE_CHECK(bitmap_storage.NumBits() == domain)
+      << "bitmap storage does not span the release domain";
+  return SampleBitmap(std::move(bitmap_storage), neighbors, p, rng);
+}
+
+DenseBitset AllocateRrStorage(const BipartiteGraph& graph,
+                              LayeredVertex vertex, double epsilon,
+                              RrStorage storage) {
+  if (!ReleasesBitmap(graph, vertex, epsilon, storage)) return DenseBitset();
+  return DenseBitset::Uninitialized(graph.NumVertices(Opposite(vertex.layer)));
 }
 
 NoisyNeighborSet ApplyRandomizedResponseDense(const BipartiteGraph& graph,

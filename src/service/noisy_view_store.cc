@@ -66,6 +66,13 @@ void NoisyViewStore::MaterializeAuthorized(ThreadPool& pool) {
     batch.swap(pending_);
   }
   if (batch.empty()) return;
+  // Allocate every release here and let the pool only write it: views
+  // allocated on pool threads pin those threads' malloc arenas long after
+  // the store that owned them is gone.
+  std::vector<DenseBitset> storage(batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    storage[i] = AllocateRrStorage(graph_, batch[i], epsilon_);
+  }
   pool.ParallelFor(batch.size(), [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
       const LayeredVertex vertex = batch[i];
@@ -78,7 +85,8 @@ void NoisyViewStore::MaterializeAuthorized(ThreadPool& pool) {
         continue;
       }
       const uint64_t t0 = build_histogram_ != nullptr ? obs::NowNanos() : 0;
-      std::unique_ptr<NoisyNeighborSet> view = Generate(vertex);
+      std::unique_ptr<NoisyNeighborSet> view =
+          Generate(vertex, std::move(storage[i]));
       if (build_histogram_ != nullptr) {
         const uint64_t dt = obs::NowNanos() - t0;
         build_histogram_->Record(dt);
@@ -310,10 +318,10 @@ void NoisyViewStore::RevokeAuthorized(LayeredVertex vertex) {
 }
 
 std::unique_ptr<NoisyNeighborSet> NoisyViewStore::Generate(
-    LayeredVertex vertex) const {
+    LayeredVertex vertex, DenseBitset storage) const {
   Rng rng = base_rng_.Fork(PackLayeredVertex(vertex));
-  return std::make_unique<NoisyNeighborSet>(
-      ApplyRandomizedResponse(graph_, vertex, epsilon_, rng));
+  return std::make_unique<NoisyNeighborSet>(ApplyRandomizedResponse(
+      graph_, vertex, epsilon_, rng, RrStorage::kAuto, std::move(storage)));
 }
 
 void NoisyViewStore::Publish(LayeredVertex vertex,

@@ -112,7 +112,12 @@ class NoisyViewStore {
   bool Contains(LayeredVertex vertex) const;
 
   /// Materializes every authorized-but-unbuilt view, fanning the RR
-  /// sampling across `pool`.
+  /// sampling across `pool`. Bitmap word storage is allocated up front on
+  /// the calling thread and only written by the pool: views live as long
+  /// as the store, and storage carved from the pool threads' own malloc
+  /// arenas would stay pinned in each arena after the store is gone, so a
+  /// process opening store after store would hold the sum of the arenas'
+  /// high-water marks rather than one store's footprint.
   void MaterializeAuthorized(ThreadPool& pool);
 
   /// Returns the view of `vertex`, authorizing and materializing it on
@@ -213,8 +218,10 @@ class NoisyViewStore {
     return tables_[static_cast<size_t>(layer)];
   }
 
-  /// Generates vertex's noisy view from its dedicated substream.
-  std::unique_ptr<NoisyNeighborSet> Generate(LayeredVertex vertex) const;
+  /// Generates vertex's noisy view from its dedicated substream, into
+  /// `storage` from AllocateRrStorage when given.
+  std::unique_ptr<NoisyNeighborSet> Generate(LayeredVertex vertex,
+                                             DenseBitset storage = {}) const;
 
   /// Publishes a freshly built view (slow_mutex_ must be held) and
   /// records its upload.

@@ -47,6 +47,18 @@ WalRecord MakeAuthorized(LayeredVertex vertex) {
   return record;
 }
 
+// Recovery regenerates authorized-but-unbuilt views from their RNG
+// substream. Under another sampler that would publish a second, different
+// release of vertices whose answers already went out.
+void RequireSameSampler(const std::string& path, uint32_t stamped) {
+  if (stamped == kRrSamplerVersion) return;
+  throw std::runtime_error(
+      path + ": state was released by RR sampler version " +
+      std::to_string(stamped) + ", but this binary samples with version " +
+      std::to_string(kRrSamplerVersion) +
+      "; regenerating its authorized views would release them again");
+}
+
 }  // namespace
 
 const char* ServiceHealthName(ServiceHealth health) {
@@ -207,6 +219,7 @@ void QueryService::OpenPersistent() {
     const SnapshotReader reader(persist_->snapshot_path);
     ByteReader config_section = reader.Section(SectionId::kConfig);
     const SnapshotConfig saved = ReadConfigSection(config_section);
+    RequireSameSampler(persist_->snapshot_path, saved.rr_sampler_version);
     const SnapshotConfig expected = CurrentConfig();
     // Restoring under different options would silently re-randomize
     // every view (different seed / ε) or mis-account budget; refuse.
@@ -238,6 +251,7 @@ void QueryService::OpenPersistent() {
   if (FileExists(persist_->wal_path)) {
     const WalReplay replay = BudgetWal::Read(persist_->wal_path);
     if (replay.epoch == persist_->epoch) {
+      RequireSameSampler(persist_->wal_path, replay.rr_sampler_version);
       for (size_t i = 0; i < replay.committed; ++i) {
         const WalRecord& record = replay.records[i];
         switch (record.type) {

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "ldp/randomized_response.h"
 #include "util/binary_io.h"
 #include "util/crc32.h"
 #include "util/failpoint.h"
@@ -19,8 +20,9 @@ namespace {
 
 // The file literally starts with the ASCII bytes "CNEWAL01".
 constexpr uint64_t kWalMagic = 0x31304C4157454E43ULL;
-constexpr uint32_t kWalVersion = 1;
-constexpr size_t kHeaderBytes = 8 + 4 + 8;
+// Version 2 appended the RR sampler version to the header.
+constexpr uint32_t kWalVersion = 2;
+constexpr size_t kHeaderBytes = 8 + 4 + 8 + 4;
 constexpr size_t kRecordBytes = 1 + 8 + 8 + 4;
 
 bool IsBarrier(WalRecordType type) {
@@ -50,6 +52,7 @@ void EncodeHeader(uint64_t epoch, ByteWriter& out) {
   out.U64(kWalMagic);
   out.U32(kWalVersion);
   out.U64(epoch);
+  out.U32(kRrSamplerVersion);
 }
 
 void ThrowErrno(const std::string& what, const std::string& path) {
@@ -91,6 +94,7 @@ WalReplay BudgetWal::Read(const std::string& path) {
   }
   WalReplay replay;
   replay.epoch = in.U64();
+  replay.rr_sampler_version = in.U32();
   while (in.remaining() >= kRecordBytes) {
     const auto body = in.Borrow(kRecordBytes - 4);
     const uint32_t crc = in.U32();

@@ -22,7 +22,9 @@
 // only up to the last *commit barrier* (a seal or a budget raise, the two
 // record kinds that are individually fsynced).
 //
-// The file starts with magic "CNEWAL01" | version u32 | epoch u64. The
+// The file starts with magic "CNEWAL01" | version u32 | epoch u64 |
+// rr_sampler_version u32 (format 2). The sampler version names the RR
+// sampler that recovery must regenerate the log's authorized views with. The
 // epoch ties the log to the snapshot it extends (snapshot_format.h): a
 // checkpoint renames the new snapshot into place and then resets the WAL
 // to the new epoch; a crash between the two steps leaves a stale-epoch
@@ -70,6 +72,8 @@ struct WalRecord {
 /// Everything recovery learns from reading a WAL file.
 struct WalReplay {
   uint64_t epoch = 0;
+  /// kRrSamplerVersion of the binary that wrote the header.
+  uint32_t rr_sampler_version = 0;
   /// All complete, CRC-valid records, in append order.
   std::vector<WalRecord> records;
   /// Records up to and including the last commit barrier — the prefix
@@ -88,7 +92,8 @@ struct WalReplay {
 class BudgetWal {
  public:
   /// Atomically creates (or replaces) the WAL at `path` holding only a
-  /// fresh header with `epoch`.
+  /// fresh header with `epoch` (stamped with this binary's
+  /// kRrSamplerVersion, as is every header written).
   static void Reset(const std::string& path, uint64_t epoch);
 
   /// Atomically rewrites the WAL to hold exactly `records` — recovery

@@ -166,6 +166,7 @@ void WriteConfigSection(const SnapshotConfig& config, ByteWriter& out) {
   out.U32(config.num_upper);
   out.U32(config.num_lower);
   out.U64(config.num_edges);
+  out.U32(config.rr_sampler_version);
 }
 
 SnapshotConfig ReadConfigSection(ByteReader& in) {
@@ -181,6 +182,7 @@ SnapshotConfig ReadConfigSection(ByteReader& in) {
   config.num_upper = in.U32();
   config.num_lower = in.U32();
   config.num_edges = in.U64();
+  config.rr_sampler_version = in.U32();
   return config;
 }
 

@@ -19,7 +19,8 @@
 // Sections (ids in SectionId):
 //   kConfig  the service configuration the state was produced under —
 //            protocol kind, ε split, seed, lifetime budget (initial and
-//            current), the Laplace substream counter, graph shape
+//            current), the Laplace substream counter, graph shape, and
+//            (from format version 2) the RR sampler version
 //   kGraph   the bipartite graph in block-CSR: both CSR directions,
 //            offsets followed by adjacency ids chunked into fixed-size
 //            blocks, each block carrying its own CRC32 (MiniGraph-style
@@ -49,6 +50,7 @@
 #include <vector>
 
 #include "graph/bipartite_graph.h"
+#include "ldp/randomized_response.h"
 #include "util/binary_io.h"
 
 namespace cne {
@@ -59,8 +61,9 @@ inline constexpr const char* kSnapshotFileName = "snapshot.cne";
 /// Write-ahead-log file name inside a service's snapshot directory.
 inline constexpr const char* kWalFileName = "budget.wal";
 
-/// Current snapshot format version.
-inline constexpr uint32_t kSnapshotVersion = 1;
+/// Snapshot format version; SnapshotReader accepts no other. Version 2
+/// added the RR sampler version to the config section.
+inline constexpr uint32_t kSnapshotVersion = 2;
 
 /// Section identifiers. Values are part of the on-disk format.
 enum class SectionId : uint32_t {
@@ -150,9 +153,13 @@ struct SnapshotConfig {
   VertexId num_upper = 0;            ///< graph shape, for the inspector
   VertexId num_lower = 0;
   uint64_t num_edges = 0;
+  /// kRrSamplerVersion of the binary that released the views: the
+  /// sampler recovery would regenerate authorized views with.
+  uint32_t rr_sampler_version = kRrSamplerVersion;
 };
 
 void WriteConfigSection(const SnapshotConfig& config, ByteWriter& out);
+
 SnapshotConfig ReadConfigSection(ByteReader& in);
 
 /// Adjacency ids per CSR block of the graph section. Small enough that a

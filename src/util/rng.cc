@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <random>
 #include <unordered_set>
 
 namespace cne {
@@ -18,8 +17,6 @@ uint64_t SplitMix64(uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-inline uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
@@ -27,18 +24,6 @@ Rng::Rng(uint64_t seed) {
   // seed, including 0.
   uint64_t s = seed;
   for (auto& word : state_) word = SplitMix64(s);
-}
-
-uint64_t Rng::NextU64() {
-  const uint64_t result = Rotl(state_[0] + state_[3], 23) + state_[0];
-  const uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl(state_[3], 45);
-  return result;
 }
 
 double Rng::NextDouble() {
@@ -97,13 +82,6 @@ double Rng::Gaussian() {
       return a * std::sqrt(-2.0 * std::log(s) / s);
     }
   }
-}
-
-uint64_t Rng::Binomial(uint64_t n, double p) {
-  if (n == 0 || p <= 0.0) return 0;
-  if (p >= 1.0) return n;
-  std::binomial_distribution<uint64_t> dist(n, p);
-  return dist(*this);
 }
 
 uint64_t Rng::Geometric(double p) {

@@ -4,8 +4,11 @@
 // source of randomness flows through an explicit `Rng` instance. `Rng`
 // implements xoshiro256++ (Blackman & Vigna, 2019), seeded through
 // SplitMix64 so that any 64-bit seed yields a well-mixed state. It
-// satisfies the C++ `UniformRandomBitGenerator` concept, which lets the
-// standard `<random>` distributions (binomial, etc.) run on top of it.
+// satisfies the C++ `UniformRandomBitGenerator` concept. Every
+// distribution below is written out here rather than taken from
+// `<random>`: the algorithms behind `std::*_distribution` are
+// implementation-defined, and released bytes must not depend on the
+// standard library build.
 
 #ifndef CNE_UTIL_RNG_H_
 #define CNE_UTIL_RNG_H_
@@ -36,8 +39,19 @@ class Rng {
   /// Returns the next 64 random bits.
   uint64_t operator()() { return NextU64(); }
 
-  /// Returns the next 64 random bits.
-  uint64_t NextU64();
+  /// Returns the next 64 random bits. Inline: the word-parallel RR sampler
+  /// draws several words per 64 released bits.
+  uint64_t NextU64() {
+    const uint64_t result = Rotl(state_[0] + state_[3], 23) + state_[0];
+    const uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = Rotl(state_[3], 45);
+    return result;
+  }
 
   /// Returns a double uniformly distributed in [0, 1).
   double NextDouble();
@@ -57,11 +71,6 @@ class Rng {
 
   /// Draws from the standard normal distribution (Marsaglia polar method).
   double Gaussian();
-
-  /// Draws from Binomial(n, p). Exact: delegates to
-  /// std::binomial_distribution (BTPE-style internally) on top of this
-  /// generator's bits.
-  uint64_t Binomial(uint64_t n, double p);
 
   /// Draws from Geometric(p) on {0, 1, ...}: the number of failures before
   /// the first success of a Bernoulli(p) process, P(G = g) = (1-p)^g p.
@@ -88,6 +97,10 @@ class Rng {
   Rng Fork(uint64_t stream) const;
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   uint64_t state_[4];
 };
 

@@ -54,6 +54,23 @@ TEST(DenseBitsetTest, SetTestCountRoundTrip) {
             (std::vector<VertexId>{0, 63, 64, 127, 128, 129}));
 }
 
+TEST(DenseBitsetTest, SizedConstructionZeroesReusedStorage) {
+  // Uninitialized() leaves words unwritten, so the count constructor must
+  // zero explicitly. Dirty a same-sized block first so the allocator is
+  // likely to hand the dirty words straight back.
+  for (VertexId num_bits : {130u, 4096u, 100000u}) {
+    {
+      DenseBitset dirty = DenseBitset::Uninitialized(num_bits);
+      for (uint64_t& word : dirty.MutableWords()) word = ~uint64_t{0};
+    }
+    const DenseBitset bits(num_bits);
+    EXPECT_EQ(bits.Count(), 0u) << num_bits << " bits";
+    for (uint64_t word : bits.Words()) {
+      ASSERT_EQ(word, 0u) << num_bits << " bits";
+    }
+  }
+}
+
 TEST(DenseBitsetTest, ToSortedVectorIsAscendingOnRandomInput) {
   Rng rng(3);
   DenseBitset bits(777);

@@ -39,11 +39,14 @@ class IntegrationTest : public ::testing::Test {
 const BipartiteGraph* IntegrationTest::graph_ = nullptr;
 
 TEST_F(IntegrationTest, MultiRoundBeatsOneRoundBeatsNaive) {
-  // The headline of Fig. 6(a), on uniform pairs at ε = 2.
+  // The headline of Fig. 6(a), on uniform pairs at ε = 2. Sixteen
+  // protocol runs per pair average the noise out of each MAE, so the
+  // ratios below measure the estimators rather than one noise draw.
   Rng rng(1);
   const auto pairs = SampleUniformPairs(*graph_, Layer::kUpper, 40, rng);
   ExperimentConfig config;
   config.epsilon = 2.0;
+  config.trials_per_pair = 16;
   const auto roster = MakeAllEstimators();
   const auto metrics = RunAllEstimators(*graph_, roster, pairs, config, rng);
 
@@ -56,7 +59,12 @@ TEST_F(IntegrationTest, MultiRoundBeatsOneRoundBeatsNaive) {
     if (m.estimator == "CentralDP") mae_central = m.mean_absolute_error;
   }
   EXPECT_GT(mae_naive, 5 * mae_oner);    // naive overcounts massively
-  EXPECT_GT(mae_oner, 3 * mae_ss);       // candidate-pool reduction
+  // Candidate-pool reduction. With 16 runs per pair the OneR/MultiR-SS
+  // MAE ratio on this graph lies in 2.7-3.1 for each query seed from 1 to
+  // 10 (about 2.9 on these pairs), so the bound leaves room for noise
+  // but not for a real loss of accuracy. One run per pair scatters the
+  // same ratio over 2.1-4.1.
+  EXPECT_GT(mae_oner, 2.5 * mae_ss);
   EXPECT_LT(mae_ds, mae_oner);           // DS also beats one-round
   EXPECT_LT(mae_central, mae_ss);        // central model is the floor
 }

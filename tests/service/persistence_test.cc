@@ -386,6 +386,91 @@ TEST(PersistenceTest, MissingWalNextToSnapshotIsRefused) {
                std::runtime_error);
 }
 
+// --- Sampler versioning: recovery regenerates authorized views from their
+// --- RNG substream, so state released by another sampler is refused.
+
+// The version before the current one: the stamp the tests re-write into
+// otherwise valid state.
+constexpr uint32_t kOtherSampler = kRrSamplerVersion - 1;
+
+void ExpectSamplerRefusal(const BipartiteGraph& g, const std::string& dir) {
+  try {
+    QueryService service(g, MakeOptions(ServiceAlgorithm::kOneR, dir));
+    FAIL() << "opened state stamped with another sampler version";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("RR sampler version " +
+                        std::to_string(kOtherSampler) + ","),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("samples with version " +
+                        std::to_string(kRrSamplerVersion)),
+              std::string::npos)
+        << what;
+  }
+}
+
+TEST(PersistenceTest, SnapshotFromAnotherSamplerVersionIsRefused) {
+  const BipartiteGraph g = TestGraph();
+  const std::string dir = FreshDir("sampler_snapshot");
+  {
+    QueryService service(g, MakeOptions(ServiceAlgorithm::kOneR, dir));
+    service.Submit(Workload(g, 40, 13));
+    service.Checkpoint();
+  }
+  // Re-stamp the committed snapshot as written by another sampler, every
+  // other byte unchanged.
+  const std::string path = (std::filesystem::path(dir) / kSnapshotFileName)
+                               .string();
+  {
+    const SnapshotReader reader(path);
+    SnapshotWriter writer(reader.epoch());
+    for (const SectionInfo& info : reader.sections()) {
+      ByteReader in = reader.Section(info.id);
+      ByteWriter& out = writer.BeginSection(info.id);
+      if (info.id == SectionId::kConfig) {
+        SnapshotConfig config = ReadConfigSection(in);
+        ASSERT_EQ(config.rr_sampler_version, kRrSamplerVersion);
+        config.rr_sampler_version = kOtherSampler;
+        WriteConfigSection(config, out);
+      } else {
+        const auto bytes = in.Borrow(in.remaining());
+        out.Bytes(bytes.data(), bytes.size());
+      }
+      writer.EndSection();
+    }
+    writer.Commit(path);
+  }
+  ExpectSamplerRefusal(g, dir);
+}
+
+TEST(PersistenceTest, WalFromAnotherSamplerVersionIsRefused) {
+  // No checkpoint yet: every authorized view lives only in the WAL, whose
+  // header is re-stamped as written by another sampler.
+  const BipartiteGraph g = TestGraph();
+  const std::string dir = FreshDir("sampler_wal");
+  {
+    QueryService service(g, MakeOptions(ServiceAlgorithm::kOneR, dir));
+    service.Submit(Workload(g, 40, 14));
+  }
+  const std::string path = (std::filesystem::path(dir) / kWalFileName)
+                               .string();
+  const std::vector<uint8_t> bytes = ReadFileBytes(path);
+  ByteReader header(bytes);
+  ByteWriter restamped;
+  restamped.U64(header.U64());  // magic
+  restamped.U32(header.U32());  // format version
+  restamped.U64(header.U64());  // epoch
+  ASSERT_EQ(header.U32(), kRrSamplerVersion);
+  restamped.U32(kOtherSampler);
+  const auto records = header.Borrow(header.remaining());
+  ASSERT_FALSE(records.empty());
+  restamped.Bytes(records.data(), records.size());
+  WriteFileAtomic(path, restamped.data());
+  EXPECT_EQ(BudgetWal::Read(path).rr_sampler_version, kOtherSampler);
+  ExpectSamplerRefusal(g, dir);
+}
+
 // --- Scale: kill-restore on a generated 10⁵-edge power-law graph whose
 // --- snapshot spans multiple CSR blocks per direction and whose view
 // --- population mixes sorted and bitmap representations.

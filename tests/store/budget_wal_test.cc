@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/bipartite_graph.h"
+#include "ldp/randomized_response.h"
 #include "util/binary_io.h"
 
 namespace cne {
@@ -180,7 +181,8 @@ TEST(BudgetWalTest, RewriteCompactsToExactlyTheGivenRecords) {
 // --- Exhaustive torn-tail coverage: a crash can cut or rot the file at
 // --- ANY byte, so every offset is tested, not a sampled handful.
 
-constexpr size_t kHeaderBytes = 20;  // magic u64 + version u32 + epoch u64
+// magic u64 + version u32 + epoch u64 + sampler version u32
+constexpr size_t kHeaderBytes = 24;
 constexpr size_t kRecordBytes = 21;  // type u8 + u64 + u64 + crc u32
 
 // Five records, two seals: [Charge, Sealed, Charge, Authorized, Sealed].
@@ -257,6 +259,36 @@ TEST(BudgetWalTornTest, FlippingEveryByteOfTheFinalRecordDropsIt) {
     ASSERT_EQ(replay.records.size(), 4u) << "flip at " << offset;
     EXPECT_EQ(replay.committed, 2u) << "flip at " << offset;
     EXPECT_EQ(replay.dropped_bytes, kRecordBytes) << "flip at " << offset;
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(BudgetWalTest, HeaderCarriesTheSamplerVersion) {
+  const std::string path = TempPath("wal_sampler.wal");
+  BudgetWal::Reset(path, 6);
+  EXPECT_EQ(BudgetWal::Read(path).rr_sampler_version, kRrSamplerVersion);
+
+  // The stamp is read back as written, whatever its value: refusing a
+  // foreign sampler is recovery's decision, not the reader's.
+  BudgetWal::Rewrite(path, 6, std::vector<WalRecord>{Sealed(2)});
+  std::vector<uint8_t> bytes = ReadFileBytes(path);
+  ASSERT_EQ(bytes.size(), kHeaderBytes + kRecordBytes);
+  bytes[20] = 9;  // rr_sampler_version follows magic, version and epoch
+  WriteFileAtomic(path, bytes);
+  const WalReplay replay = BudgetWal::Read(path);
+  EXPECT_EQ(replay.rr_sampler_version, 9u);
+  EXPECT_EQ(replay.epoch, 6u);
+  ASSERT_EQ(replay.records.size(), 1u);
+  EXPECT_EQ(replay.records[0], Sealed(2));
+  EXPECT_FALSE(replay.torn_tail);
+
+  // Any other format version is refused: format 1 (no stamp) as well as
+  // versions this binary does not know.
+  for (uint8_t version : {1, 3}) {
+    bytes[8] = version;
+    WriteFileAtomic(path, bytes);
+    EXPECT_THROW(BudgetWal::Read(path), std::runtime_error)
+        << "format " << int{version};
   }
   std::filesystem::remove(path);
 }

@@ -123,11 +123,13 @@ TEST(SnapshotFormatTest, ConfigSectionRoundTrips) {
   config.num_upper = 10;
   config.num_lower = 20;
   config.num_edges = 77;
+  config.rr_sampler_version = 7;
 
   ByteWriter out;
   WriteConfigSection(config, out);
   ByteReader in(out.data());
   const SnapshotConfig back = ReadConfigSection(in);
+  EXPECT_EQ(back.rr_sampler_version, 7u);
   EXPECT_EQ(back.protocol_kind, config.protocol_kind);
   EXPECT_EQ(back.epsilon, config.epsilon);
   EXPECT_EQ(back.epsilon1_fraction, config.epsilon1_fraction);
@@ -140,6 +142,7 @@ TEST(SnapshotFormatTest, ConfigSectionRoundTrips) {
   EXPECT_EQ(back.num_lower, config.num_lower);
   EXPECT_EQ(back.num_edges, config.num_edges);
   EXPECT_EQ(in.remaining(), 0u);
+  EXPECT_EQ(SnapshotConfig{}.rr_sampler_version, kRrSamplerVersion);
 }
 
 void ExpectGraphsEqual(const BipartiteGraph& a, const BipartiteGraph& b) {

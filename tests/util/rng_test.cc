@@ -133,26 +133,6 @@ TEST(RngTest, GaussianMoments) {
   EXPECT_NEAR(stats.Variance(), 1.0, 0.03);
 }
 
-TEST(RngTest, BinomialEdgeCases) {
-  Rng rng(43);
-  EXPECT_EQ(rng.Binomial(0, 0.5), 0u);
-  EXPECT_EQ(rng.Binomial(100, 0.0), 0u);
-  EXPECT_EQ(rng.Binomial(100, 1.0), 100u);
-}
-
-TEST(RngTest, BinomialMeanAndVariance) {
-  Rng rng(47);
-  const uint64_t n = 1000;
-  const double p = 0.3;
-  RunningStats stats;
-  const int trials = 20000;
-  for (int i = 0; i < trials; ++i) {
-    stats.Add(static_cast<double>(rng.Binomial(n, p)));
-  }
-  EXPECT_NEAR(stats.Mean(), n * p, 5 * stats.StdError());
-  EXPECT_NEAR(stats.Variance(), n * p * (1 - p), 15.0);
-}
-
 TEST(RngTest, GeometricEdgeCases) {
   Rng rng(59);
   EXPECT_EQ(rng.Geometric(1.0), 0u);

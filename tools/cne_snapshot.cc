@@ -187,10 +187,10 @@ int main(int argc, char** argv) {
           "\"epsilon1_fraction\": %g, \"seed\": %" PRIu64
           ", \"initial_lifetime_budget\": %g, "
           "\"current_lifetime_budget\": %g, \"next_noise_stream\": %" PRIu64
-          "},\n",
+          ", \"rr_sampler_version\": %u},\n",
           algorithm, config.epsilon, config.epsilon1_fraction, config.seed,
           config.initial_lifetime_budget, config.current_lifetime_budget,
-          config.next_noise_stream);
+          config.next_noise_stream, config.rr_sampler_version);
       std::printf(
           " \"graph\": {\"upper\": %u, \"lower\": %u, \"edges\": %" PRIu64
           ", \"block_edges\": %u, \"blocks\": %" PRIu64 "},\n",
@@ -223,10 +223,12 @@ int main(int argc, char** argv) {
         std::printf(" %s=%" PRIu64 "B", SectionName(info.id), info.size);
       }
       std::printf("\nconfig     %s eps=%g (eps1 frac %g) seed=%" PRIu64
-                  " budget %g->%g noise-streams=%" PRIu64 "\n",
+                  " budget %g->%g noise-streams=%" PRIu64
+                  " rr-sampler=v%u\n",
                   algorithm, config.epsilon, config.epsilon1_fraction,
                   config.seed, config.initial_lifetime_budget,
-                  config.current_lifetime_budget, config.next_noise_stream);
+                  config.current_lifetime_budget, config.next_noise_stream,
+                  config.rr_sampler_version);
       std::printf("graph      |U|=%u |L|=%u m=%" PRIu64 " in %" PRIu64
                   " blocks of %u edges\n",
                   graph.num_upper, graph.num_lower, graph.num_edges,
