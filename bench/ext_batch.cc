@@ -1,31 +1,27 @@
-// Extension experiment: vertex-grouped batch execution. The paper's
-// applications (similarity, top-k, projection) are one-vs-many workloads:
-// one source vertex against hundreds of candidates. This bench measures
-// the three ways the repo can execute such a workload:
+// Extension experiment: one-vs-many workloads on the shared-view service.
+// The paper's applications (similarity, top-k, projection) are
+// one-vs-many workloads: one source vertex against hundreds of
+// candidates. This bench times such a workload two ways:
 //
-//   per_pair            PR 3's apps path — one full protocol execution per
-//                       candidate (fresh randomized response from both
-//                       vertices every time);
-//   service_unplanned   QueryService with the planner disabled — shared
-//                       noisy views, but per-query post-processing;
-//   service_planned     QueryService with the WorkloadPlanner — shared
-//                       views plus per-source grouped execution through
-//                       BatchIntersectionSize.
+//   per_pair   one full protocol execution per candidate (fresh randomized
+//              response from both vertices every time);
+//   service    QueryService — shared noisy views, with the admitted
+//              queries answered in shared-endpoint order
+//              (service/workload_planner.h).
 //
 // Section `one_vs_many` runs a 1×N shared-source workload on the
 // committed sample graph at ε = 1 (N ≥ 256 distinct candidates, repeated
-// submissions so steady-state answering dominates); section
-// `grouped_sweep` runs hot-set workloads across datasets. Output is JSON
-// on stdout (progress on stderr) for the BENCH_* perf trajectory.
+// submissions so steady-state answering dominates); section `scale` runs
+// it on generated graphs. Output is JSON on stdout (progress on stderr)
+// for the BENCH_* perf trajectory.
 //
-// Built-in self-check: planned and unplanned answers must be bitwise
-// identical (including at 2 threads); any mismatch exits non-zero, so CI
-// runs double as a correctness gate.
+// Built-in self-check: every service run is repeated at 2 threads, and
+// the 1-thread and 2-thread answers must be bitwise identical; any
+// mismatch exits non-zero, so CI runs double as a correctness gate.
 //
 // Extra flags on top of the shared bench set:
-//   --candidates=256   candidates N of the 1×N section
+//   --candidates=256   candidates N of the 1×N workload
 //   --repeats=64       submissions of the 1×N workload per timed path
-//   --hot=24           hot-set size of the grouped sweep
 //   --scale=1e5,1e6    edge-draw targets for the scale section: the 1×N
 //                      workload on the top-degree source of generated
 //                      BX-shaped graphs, reduced repeats
@@ -45,7 +41,6 @@
 #include "core/oner.h"
 #include "graph/graph_io.h"
 #include "service/query_service.h"
-#include "service/workload.h"
 #include "util/cli.h"
 #include "util/cpu_features.h"
 #include "util/timer.h"
@@ -67,13 +62,13 @@ bool AnswersIdentical(const std::vector<ServiceAnswer>& a,
 
 struct ServiceRun {
   double seconds = 0.0;
-  std::vector<ServiceAnswer> answers;  ///< of the last submission
-  ServiceReport last;
+  ServiceReport last;  ///< of the last submission, with the metrics
 };
 
 // Submits `workload` `repeats` times to a fresh service and returns the
 // total wall time: one view materialization, then steady-state answering.
-ServiceRun RunService(const BipartiteGraph& graph, ServiceOptions options,
+ServiceRun RunService(const BipartiteGraph& graph,
+                      const ServiceOptions& options,
                       const std::vector<QueryPair>& workload,
                       size_t repeats) {
   QueryService service(graph, options);
@@ -84,28 +79,42 @@ ServiceRun RunService(const BipartiteGraph& graph, ServiceOptions options,
     if (r + 1 == repeats) run.last = std::move(report);
   }
   run.seconds = timer.Seconds();
-  // Submit no longer snapshots the registry (too costly per batch); pull
+  // Submit does not snapshot the registry (too costly per batch); pull
   // the cumulative snapshot once, outside the timed loop.
   run.last.metrics = service.SnapshotMetrics();
-  run.answers = run.last.answers;
   return run;
+}
+
+// Self-check: reruns `workload` at 2 threads and compares the last
+// submission's answers bitwise against the 1-thread `reference`.
+bool SameAnswersAtTwoThreads(const BipartiteGraph& graph,
+                             ServiceOptions options,
+                             const std::vector<QueryPair>& workload,
+                             size_t repeats, const ServiceRun& reference,
+                             const std::string& label) {
+  options.num_threads = 2;
+  if (AnswersIdentical(
+          RunService(graph, options, workload, repeats).last.answers,
+          reference.last.answers)) {
+    return true;
+  }
+  std::fprintf(stderr,
+               "SELF-CHECK FAILED: %s: 2-thread answers differ from the "
+               "1-thread answers\n",
+               label.c_str());
+  return false;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::BenchOptions options = bench::ParseOptions(argc, argv);
+  const bench::BenchOptions options = bench::ParseOptions(argc, argv);
   const CommandLine cl(argc, argv);
   const bool smoke = cl.GetBool("smoke");
   const size_t candidates_n =
       static_cast<size_t>(cl.GetInt("candidates", 256));
   const size_t repeats =
       static_cast<size_t>(cl.GetInt("repeats", smoke ? 32 : 64));
-  const VertexId hot = static_cast<VertexId>(cl.GetInt("hot", 24));
-  if (options.datasets.empty()) {
-    options.datasets = smoke ? std::vector<std::string>{"RM"}
-                             : std::vector<std::string>{"RM", "DA"};
-  }
   bool identity_ok = true;
 
   std::ostringstream json;
@@ -147,8 +156,8 @@ int main(int argc, char** argv) {
       service_options.seed = options.seed;
       service_options.num_threads = 1;
 
-      // PR 3's per-query path: one full OneR protocol per candidate, per
-      // repetition — every query pays two fresh ε-RR releases.
+      // One full OneR protocol per candidate, per repetition — every
+      // query pays two fresh ε-RR releases.
       OneREstimator oner;
       Rng per_pair_rng(options.seed + 1);
       double checksum = 0.0;
@@ -160,44 +169,20 @@ int main(int argc, char** argv) {
       }
       const double per_pair_seconds = per_pair_timer.Seconds();
 
-      ServiceOptions unplanned = service_options;
-      unplanned.enable_planner = false;
-      const ServiceRun run_unplanned =
-          RunService(g, unplanned, workload, repeats);
-
-      ServiceOptions planned = service_options;
-      planned.enable_planner = true;
-      const ServiceRun run_planned =
-          RunService(g, planned, workload, repeats);
-
-      // Self-check: planned ≡ unplanned, also at 2 threads.
-      ServiceOptions planned2 = planned;
-      planned2.num_threads = 2;
-      const ServiceRun run_planned2 = RunService(g, planned2, workload, 1);
-      if (!AnswersIdentical(run_planned.answers, run_unplanned.answers) ||
-          !AnswersIdentical(run_planned2.answers, run_unplanned.answers)) {
-        std::fprintf(stderr,
-                     "SELF-CHECK FAILED: planned answers differ from the "
-                     "per-query path\n");
-        identity_ok = false;
-      }
+      const ServiceRun service =
+          RunService(g, service_options, workload, repeats);
+      identity_ok &= SameAnswersAtTwoThreads(g, service_options, workload,
+                                             repeats, service, "one_vs_many");
 
       const double total_queries =
           static_cast<double>(workload.size() * repeats);
       const double speedup_vs_per_pair =
-          run_planned.seconds > 0.0 ? per_pair_seconds / run_planned.seconds
-                                    : 0.0;
-      const double speedup_vs_unplanned =
-          run_planned.seconds > 0.0
-              ? run_unplanned.seconds / run_planned.seconds
-              : 0.0;
+          service.seconds > 0.0 ? per_pair_seconds / service.seconds : 0.0;
       std::fprintf(stderr,
-                   "one_vs_many N=%zu x%zu: per_pair %.3fs, unplanned "
-                   "%.3fs, planned %.3fs (%.1fx vs per_pair, %.2fx vs "
-                   "unplanned, checksum %.1f)\n",
+                   "one_vs_many N=%zu x%zu: per_pair %.3fs, service %.3fs "
+                   "(%.1fx vs per_pair, checksum %.1f)\n",
                    workload.size(), repeats, per_pair_seconds,
-                   run_unplanned.seconds, run_planned.seconds,
-                   speedup_vs_per_pair, speedup_vs_unplanned, checksum);
+                   service.seconds, speedup_vs_per_pair, checksum);
 
       json << "{\n"
            << "    \"epsilon\": " << epsilon << ",\n"
@@ -206,92 +191,30 @@ int main(int argc, char** argv) {
            << "    \"repeats\": " << repeats << ",\n"
            << "    \"total_queries\": " << total_queries << ",\n"
            << "    \"per_pair_seconds\": " << per_pair_seconds << ",\n"
-           << "    \"unplanned_seconds\": " << run_unplanned.seconds
-           << ",\n"
-           << "    \"planned_seconds\": " << run_planned.seconds << ",\n"
+           << "    \"planned_seconds\": " << service.seconds << ",\n"
            << "    \"planned_qps\": "
-           << (run_planned.seconds > 0.0 ? total_queries / run_planned.seconds
-                                         : 0.0)
+           << (service.seconds > 0.0 ? total_queries / service.seconds : 0.0)
            << ",\n"
            << "    \"speedup_vs_per_pair\": " << speedup_vs_per_pair
            << ",\n"
            << "    \"meets_3x_vs_per_pair\": "
            << (speedup_vs_per_pair >= 3.0 ? "true" : "false") << ",\n"
-           << "    \"speedup_vs_unplanned\": " << speedup_vs_unplanned
+           << "    \"groups_formed\": " << service.last.groups_formed
            << ",\n"
-           << "    \"groups_formed\": " << run_planned.last.groups_formed
-           << ",\n"
-           << "    \"avg_group_size\": " << run_planned.last.avg_group_size
+           << "    \"avg_group_size\": " << service.last.avg_group_size
            << ",\n"
            << "    \"planner_seconds_last_submit\": "
-           << run_planned.last.planner_seconds << ",\n"
-           << "    \"rejected\": " << run_planned.last.rejected << ",\n"
+           << service.last.planner_seconds << ",\n"
+           << "    \"rejected\": " << service.last.rejected << ",\n"
            << "    \"phases\": "
-           << bench::PhasesJson(run_planned.last.metrics, "    ") << "\n"
+           << bench::PhasesJson(service.last.metrics, "    ") << "\n"
            << "  },\n";
     }
   }
 
-  // ---- Section 2: grouped hot-set sweep across datasets ----
-  json << "  \"grouped_sweep\": [\n";
-  bool first_row = true;
-  for (const DatasetSpec& spec : ResolveDatasets(options.datasets)) {
-    const BipartiteGraph& g = bench::CachedDataset(spec);
-    const size_t queries = smoke ? 2000 : 8000;
-    Rng workload_rng(options.seed);
-    const std::vector<QueryPair> workload = MakeHotSetWorkload(
-        g, spec.query_layer, queries, hot, workload_rng);
-    for (ServiceAlgorithm algorithm :
-         {ServiceAlgorithm::kOneR, ServiceAlgorithm::kMultiRDS}) {
-      ServiceOptions base;
-      base.algorithm = algorithm;
-      base.epsilon = options.epsilon;
-      // Let the MultiR family answer a meaningful share of the hot-set
-      // workload before the ledger cuts it off.
-      base.lifetime_budget = options.epsilon * 64.0;
-      base.seed = options.seed;
-      base.num_threads = 1;
-
-      ServiceOptions unplanned = base;
-      unplanned.enable_planner = false;
-      const ServiceRun off = RunService(g, unplanned, workload, 1);
-      ServiceOptions planned = base;
-      planned.enable_planner = true;
-      const ServiceRun on = RunService(g, planned, workload, 1);
-      if (!AnswersIdentical(on.answers, off.answers)) {
-        std::fprintf(stderr,
-                     "SELF-CHECK FAILED: %s %s planned != unplanned\n",
-                     spec.code.c_str(), ToString(algorithm));
-        identity_ok = false;
-      }
-
-      if (!first_row) json << ",\n";
-      first_row = false;
-      json << "    {\"dataset\": \"" << spec.code << "\", \"algorithm\": \""
-           << ToString(algorithm) << "\", \"queries\": " << workload.size()
-           << ", \"hot_set\": " << hot
-           << ", \"answered\": " << on.last.answered
-           << ", \"rejected\": " << on.last.rejected
-           << ", \"groups_formed\": " << on.last.groups_formed
-           << ", \"avg_group_size\": " << on.last.avg_group_size
-           << ", \"planner_seconds\": " << on.last.planner_seconds
-           << ", \"unplanned_seconds\": " << off.seconds
-           << ", \"planned_seconds\": " << on.seconds
-           << ", \"speedup\": "
-           << (on.seconds > 0.0 ? off.seconds / on.seconds : 0.0)
-           << ",\n     \"phases\": "
-           << bench::PhasesJson(on.last.metrics, "     ") << "}";
-      std::fprintf(stderr, "%s %s: unplanned %.3fs, planned %.3fs\n",
-                   spec.code.c_str(), ToString(algorithm), off.seconds,
-                   on.seconds);
-    }
-  }
-  json << "\n  ],\n";
-
-  // ---- Section 3 (--scale): the 1×N workload on the top-degree source
-  // ---- of generated BX-shaped graphs. Reduced repeats — at 10⁶ edges
-  // ---- the per-query post-processing dominates, which is exactly the
-  // ---- regime the planner exists for. Planned qps is the scale metric.
+  // ---- Section 2 (--scale): the 1×N workload on the top-degree source
+  // ---- of generated BX-shaped graphs, reduced repeats. Service qps is
+  // ---- the scale metric, named planned_qps as in the committed baselines.
   json << "  \"scale\": [";
   bool first_scale = true;
   for (uint64_t target : bench::ParseScaleList(cl)) {
@@ -324,28 +247,18 @@ int main(int argc, char** argv) {
     base.seed = options.seed;
     base.num_threads = 1;
 
-    ServiceOptions unplanned = base;
-    unplanned.enable_planner = false;
-    const ServiceRun off = RunService(g, unplanned, workload, scale_repeats);
-    ServiceOptions planned = base;
-    planned.enable_planner = true;
-    const ServiceRun on = RunService(g, planned, workload, scale_repeats);
-    if (!AnswersIdentical(on.answers, off.answers)) {
-      std::fprintf(stderr, "SELF-CHECK FAILED: scale %llu planned != "
-                           "unplanned\n",
-                   static_cast<unsigned long long>(target));
-      identity_ok = false;
-    }
+    const ServiceRun run = RunService(g, base, workload, scale_repeats);
+    identity_ok &=
+        SameAnswersAtTwoThreads(g, base, workload, scale_repeats, run,
+                                "scale " + std::to_string(target));
 
     const double total_queries =
         static_cast<double>(workload.size() * scale_repeats);
     const double planned_qps =
-        on.seconds > 0.0 ? total_queries / on.seconds : 0.0;
-    std::fprintf(stderr,
-                 "scale %llu 1x%zu x%zu: unplanned %.3fs, planned %.3fs "
-                 "(%.0f qps)\n",
+        run.seconds > 0.0 ? total_queries / run.seconds : 0.0;
+    std::fprintf(stderr, "scale %llu 1x%zu x%zu: service %.3fs (%.0f qps)\n",
                  static_cast<unsigned long long>(target), workload.size(),
-                 scale_repeats, off.seconds, on.seconds, planned_qps);
+                 scale_repeats, run.seconds, planned_qps);
 
     if (!first_scale) json << ",";
     first_scale = false;
@@ -354,13 +267,10 @@ int main(int argc, char** argv) {
          << ", \"candidates\": " << workload.size()
          << ", \"repeats\": " << scale_repeats << ", \"simd_level\": \""
          << SimdLevelName(ActiveSimdLevel())
-         << "\", \"unplanned_seconds\": " << off.seconds
-         << ", \"planned_seconds\": " << on.seconds
-         << ", \"speedup_vs_unplanned\": "
-         << (on.seconds > 0.0 ? off.seconds / on.seconds : 0.0)
-         << ", \"groups_formed\": " << on.last.groups_formed
+         << "\", \"planned_seconds\": " << run.seconds
+         << ", \"groups_formed\": " << run.last.groups_formed
          << ",\n     \"phases\": "
-         << bench::PhasesJson(on.last.metrics, "     ")
+         << bench::PhasesJson(run.last.metrics, "     ")
          << ",\n     \"scale_metric\": "
          << bench::ScaleMetricJson("planned_qps", planned_qps, true) << "}";
   }

@@ -25,9 +25,13 @@ values sit at the noise floor of the clock and the histogram's log
 buckets (a handful of ~100 ns samples flips buckets freely), so when both
 sides are under 1 us the delta is reported but never fails the gate; a
 regression that drags the quantile past 1 us still does.
-Metrics present on only one side are
-reported but not failures: the committed baselines deliberately carry
-larger scale points (10^6+) than the CI smoke run produces.
+
+A baseline entry the current run does not produce at all is skipped: the
+committed baselines deliberately carry larger scale points (10^6+) than
+the CI smoke run produces. But a baseline metric missing from a current
+entry with the same axes fails — otherwise renaming a metric would
+silently turn its gate off. Metrics only the current run has are
+reported as new.
 
 Usage:
     scripts/check_bench_scale.py BASELINE.json CURRENT.json [--threshold=0.2]
@@ -125,6 +129,7 @@ def main(argv):
 
     bench, baseline = load_scale(paths[0])
     _, current = load_scale(paths[1])
+    current_axes = {key[:-1] for key in current}
 
     if not baseline:
         print(f"{bench}: baseline has no scale section; nothing to check")
@@ -134,7 +139,13 @@ def main(argv):
     for key, base_metric in sorted(baseline.items(), key=str):
         label = describe(key)
         if key not in current:
-            print(f"skip {bench} [{label}] {key[-1]}: not in current run")
+            if key[:-1] in current_axes:
+                print(f"FAIL {bench} [{label}] {key[-1]}: missing from the "
+                      "current entry with these axes")
+                failed = True
+            else:
+                print(f"skip {bench} [{label}] {key[-1]}: entry not in "
+                      "current run")
             continue
         cur_metric = current[key]
         base_value = float(base_metric["value"])

@@ -8,10 +8,6 @@
 #include "graph/set_ops_kernels.h"
 #include "util/logging.h"
 
-#if defined(__x86_64__) || defined(_M_X64)
-#include <xmmintrin.h>
-#endif
-
 namespace cne {
 
 namespace simd {
@@ -136,35 +132,7 @@ SetKernel ChooseIntersectKernel(const SetView& a, const SetView& b) {
                               : SetKernel::kScalarMerge;
 }
 
-inline void PrefetchLine(const void* p) {
-#if defined(__x86_64__) || defined(_M_X64)
-  _mm_prefetch(static_cast<const char*>(p), _MM_HINT_T0);
-#else
-  __builtin_prefetch(p, /*rw=*/0, /*locality=*/3);
-#endif
-}
-
-// How many candidates ahead of the current one BatchIntersectionSize
-// prefetches. Far enough to cover a DRAM miss (~100ns) at typical
-// per-candidate kernel times, near enough not to thrash L1.
-constexpr size_t kBatchPrefetchDistance = 8;
-
 }  // namespace
-
-void PrefetchSetView(const SetView& view) {
-  if (view.IsBitmap()) {
-    const std::span<const uint64_t> words = view.bitmap().Words();
-    if (!words.empty()) {
-      PrefetchLine(words.data());
-      // Second line too: the first vector iteration of a 512-bit kernel
-      // consumes a full 64-byte line, and most bitmaps span many lines.
-      if (words.size() > 8) PrefetchLine(words.data() + 8);
-    }
-    return;
-  }
-  const std::span<const VertexId> ids = view.sorted();
-  if (!ids.empty()) PrefetchLine(ids.data());
-}
 
 DenseBitset DenseBitset::FromWords(std::vector<uint64_t> words,
                                    VertexId num_bits) {
@@ -307,43 +275,6 @@ uint64_t IntersectionSize(const SetView& a, const SetView& b) {
       break;
   }
   return IntersectScalarMerge(a.sorted(), b.sorted());
-}
-
-void BatchIntersectionSize(const SetView& base,
-                           std::span<const SetView> candidates,
-                           std::span<uint64_t> out) {
-  CNE_CHECK(out.size() == candidates.size())
-      << "output size " << out.size() << " does not match "
-      << candidates.size() << " candidates";
-  if (base.IsBitmap()) {
-    const DenseBitset& bits = base.bitmap();
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      if (i + kBatchPrefetchDistance < candidates.size()) {
-        PrefetchSetView(candidates[i + kBatchPrefetchDistance]);
-      }
-      const SetView& c = candidates[i];
-      // Bitmap × bitmap goes through the calibrated chooser (bitmap_and
-      // vs the skip-zero probe); sorted candidates always probe.
-      out[i] = c.IsBitmap() ? IntersectionSize(base, c)
-                            : IntersectProbeBitmap(c.sorted(), bits);
-    }
-    return;
-  }
-  const std::span<const VertexId> ids = base.sorted();
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    if (i + kBatchPrefetchDistance < candidates.size()) {
-      PrefetchSetView(candidates[i + kBatchPrefetchDistance]);
-    }
-    const SetView& c = candidates[i];
-    if (c.IsBitmap()) {
-      out[i] = IntersectProbeBitmap(ids, c.bitmap());
-      continue;
-    }
-    // Sorted × sorted falls back to the per-pair dispatcher so the
-    // galloping/merge choice — and therefore the count's cost profile —
-    // matches the unbatched path exactly.
-    out[i] = IntersectionSize(base, c);
-  }
 }
 
 const char* DispatchedKernelName(const SetView& a, const SetView& b) {

@@ -233,26 +233,6 @@ uint64_t IntersectProbeBitmap(std::span<const VertexId> probes,
 /// IntersectScalarMerge on the equivalent sorted inputs.
 uint64_t IntersectionSize(const SetView& a, const SetView& b);
 
-/// One-vs-many intersection: writes |base ∩ candidates[i]| into out[i] for
-/// every candidate. Same counts as calling IntersectionSize per pair — the
-/// point is the execution shape: the base operand's representation is
-/// resolved once outside the loop (its words or its sorted span stay hot in
-/// cache while every candidate streams past it), and each candidate's
-/// backing storage is software-prefetched a fixed distance ahead of its
-/// turn, so the per-candidate loads the hardware prefetcher cannot predict
-/// (they hop between unrelated view allocations) are already in flight.
-/// This is the kernel under the workload planner's grouped execution and
-/// the shared-source loops of apps/topk and apps/projection. Requires
-/// out.size() == candidates.size().
-void BatchIntersectionSize(const SetView& base,
-                           std::span<const SetView> candidates,
-                           std::span<uint64_t> out);
-
-/// Issues a prefetch for the first cache lines of `view`'s backing storage
-/// (bitmap words or sorted ids). Used by BatchIntersectionSize and the
-/// service GroupExecutor to overlap candidate-view loads with compute.
-void PrefetchSetView(const SetView& view);
-
 /// Name of the kernel the dispatcher would run for (a, b); for logs and the
 /// ext_intersect bench.
 const char* DispatchedKernelName(const SetView& a, const SetView& b);

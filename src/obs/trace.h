@@ -23,8 +23,10 @@
 #ifndef CNE_OBS_TRACE_H_
 #define CNE_OBS_TRACE_H_
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 
 #include "obs/metrics.h"
@@ -118,29 +120,34 @@ class TraceSpan {
 
 #endif  // CNE_OBS_ENABLED
 
-/// Deterministic 1-in-N sampler for per-item spans on paths too hot to
-/// time every iteration. Not thread-safe; keep one per worker scope.
-class SampledRecorder {
- public:
-  /// `shift`: sample every 2^shift-th call (default 1 in 8).
-  explicit SampledRecorder(LatencyHistogram* histogram, unsigned shift = 3)
-      : histogram_(histogram), mask_((1u << shift) - 1) {}
-
-  /// True when this iteration should be timed. Always false when disabled.
-  bool ShouldSample() {
-    if (histogram_ == nullptr) return false;
-    return (ticks_++ & mask_) == 0;
+/// Runs body(i) for every i in [0, n), clocking one call in `stride`
+/// (i = 0, stride, 2·stride, ...) on paths too hot to time every item.
+/// Each clocked call's latency goes to `histogram` and to
+/// on_sample(i, nanos) — the hook for exemplar offers. The calls between
+/// samples run in a plain inner loop with no per-item branch, so the
+/// common path compiles as if timing were off; with a null histogram the
+/// whole loop is plain.
+template <typename Body, typename OnSample>
+void ForEachSampled(size_t n, size_t stride, LatencyHistogram* histogram,
+                    Body&& body, OnSample&& on_sample) {
+  if (histogram == nullptr) {
+    for (size_t i = 0; i < n; ++i) body(i);
+    return;
   }
-
-  void Record(uint64_t nanos) {
-    if (histogram_ != nullptr) histogram_->Record(nanos);
+  size_t i = 0;
+  while (i < n) {
+    const uint64_t t0 = NowNanos();
+    body(i);
+    const uint64_t dt = NowNanos() - t0;
+    histogram->Record(dt);
+    on_sample(i, dt);
+    ++i;
+    for (const size_t chunk_end = std::min(n, i + (stride - 1));
+         i < chunk_end; ++i) {
+      body(i);
+    }
   }
-
- private:
-  LatencyHistogram* histogram_;
-  uint32_t mask_;
-  uint32_t ticks_ = 0;
-};
+}
 
 }  // namespace cne::obs
 

@@ -1,12 +1,11 @@
 // Shared store of noisy neighbor-list views.
 //
-// The privacy insight behind the whole service layer (and src/service/
-// batch.h before it): once a vertex's ε-randomized-response release
-// exists, it is *public*, and every estimate computed from it is
-// privacy-free post-processing. The store therefore materializes each
-// vertex's noisy view at most once per service lifetime and hands out
-// const references — a second query touching the same vertex costs zero
-// privacy and zero vertex-side work.
+// The privacy insight behind the whole service layer: once a vertex's
+// ε-randomized-response release exists, it is *public*, and every
+// estimate computed from it is privacy-free post-processing. The store
+// therefore materializes each vertex's noisy view at most once per
+// service lifetime and hands out const references — a second query
+// touching the same vertex costs zero privacy and zero vertex-side work.
 //
 // Budget: every materialization charges the store's release budget ε to
 // the vertex on the shared `BudgetLedger`; when the ledger refuses (the

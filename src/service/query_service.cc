@@ -12,10 +12,12 @@
 #include <stdexcept>
 #include <thread>
 
+#include "graph/set_ops.h"
 #include "obs/trace.h"
 #include "obs/trace_export.h"
 #include "service/workload_planner.h"
 #include "store/budget_wal.h"
+#include "util/cpu_features.h"
 #include "util/failpoint.h"
 #include "util/logging.h"
 #include "util/timer.h"
@@ -28,9 +30,14 @@ namespace {
 // admission never commits a charge the ledger would refuse.
 constexpr double kBudgetTolerance = 1e-9;
 
-// Planner threshold: a submission below this size cannot amortize plan
-// construction, so it takes the per-query path unchanged.
-constexpr size_t kMinQueriesToPlan = 2;
+// Post-process latency is clocked one query in this many: Answer() runs
+// tens of ns per query, so the stride amortizes a ~40 ns clock pair to a
+// fraction of a ns per query.
+constexpr size_t kPostProcessSampleStride = 512;
+
+// Admission is clocked one query in this many (a single Admit runs in
+// ~100 ns, so clocking every query would cost more than it measures).
+constexpr size_t kAdmissionSampleStride = 1024;
 
 WalRecord MakeCharge(LayeredVertex vertex, double epsilon) {
   WalRecord record;
@@ -476,11 +483,6 @@ ServiceReport QueryService::Submit(const std::vector<QueryPair>& queries) {
   rollback_charges_.clear();
   rollback_authorized_.clear();
   const uint64_t noise_stream_mark = next_noise_stream_;
-  // Per-query admission latency, one sample per 1024-query chunk: a
-  // single Admit runs in ~100 ns, so clocking every query would cost more
-  // than the work it measures, and even the sampler's per-query branch is
-  // worth hoisting out of the loop (the histogram's quantiles only need
-  // a sample stream).
   const auto admit_one = [&](size_t i) {
     const QueryPair& query = queries[i];
     CNE_CHECK(query.u < graph_.NumVertices(query.layer) &&
@@ -497,19 +499,14 @@ ServiceReport QueryService::Submit(const std::vector<QueryPair>& queries) {
   };
   {
     const obs::TraceSpan admission_span(nullptr, "admission");
-    if (h_admission_ == nullptr) {
-      for (size_t i = 0; i < queries.size(); ++i) admit_one(i);
-    } else {
-      constexpr size_t kAdmitStride = 1024;
-      size_t i = 0;
-      while (i < queries.size()) {
-        const uint64_t t0 = obs::NowNanos();
-        admit_one(i);
-        const uint64_t dt = obs::NowNanos() - t0;
-        h_admission_->Record(dt);
-        // Exemplar offer only on the already-clocked 1-in-stride sample,
-        // and only when it would displace a kept exemplar.
-        if (ex_admission_ != nullptr && ex_admission_->WouldAccept(dt)) {
+    obs::ForEachSampled(
+        queries.size(), kAdmissionSampleStride, h_admission_, admit_one,
+        [&](size_t i, uint64_t dt) {
+          // Exemplar offer only on an already-clocked sample, and only
+          // when it would displace a kept exemplar.
+          if (ex_admission_ == nullptr || !ex_admission_->WouldAccept(dt)) {
+            return;
+          }
           obs::Exemplar e;
           e.seconds = static_cast<double>(dt) * 1e-9;
           e.submit = submit_seq_;
@@ -518,13 +515,7 @@ ServiceReport QueryService::Submit(const std::vector<QueryPair>& queries) {
           e.u = queries[i].u;
           e.w = queries[i].w;
           ex_admission_->Offer(dt, e);
-        }
-        ++i;
-        const size_t chunk_end =
-            std::min(queries.size(), i + (kAdmitStride - 1));
-        for (; i < chunk_end; ++i) admit_one(i);
-      }
-    }
+        });
   }
   if (c_submits_ != nullptr) {
     c_submits_->Add();
@@ -594,31 +585,8 @@ ServiceReport QueryService::Submit(const std::vector<QueryPair>& queries) {
       store_.MaterializeAuthorized(pool_);
     }
 
-    // Phase 3 — answer every admitted query. The planner path groups by
-    // shared endpoint and reuses per-source state; the per-query path is
-    // the reference both for benchmarking and for submissions too small
-    // to plan. Either way the answers are byte-identical.
-    if (options_.enable_planner && queries.size() >= kMinQueriesToPlan) {
-      ExecutePlanned(plan, report);
-    } else {
-      const obs::TraceSpan execute_span(h_execute_, "execute");
-      pool_.ParallelFor(plan.size(), [&](size_t begin, size_t end) {
-        obs::SampledRecorder sampler(h_post_process_);
-        for (size_t i = begin; i < end; ++i) {
-          ServiceAnswer& answer = report.answers[i];
-          answer.query = plan[i].query;
-          if (!plan[i].admitted) {
-            answer.rejected = true;
-            answer.reason = plan[i].reason;
-            continue;
-          }
-          const bool sampled = sampler.ShouldSample();
-          const uint64_t t0 = sampled ? obs::NowNanos() : 0;
-          answer.estimate = Answer(plan[i]);
-          if (sampled) sampler.Record(obs::NowNanos() - t0);
-        }
-      });
-    }
+    // Phase 3 — answer every admitted query.
+    Execute(queries, plan, report);
   } catch (const std::exception& e) {
     // Past the seal there is no rollback: views may be half
     // materialized, answers half computed. The durable state is fine —
@@ -746,38 +714,35 @@ obs::MetricsSnapshot QueryService::SnapshotMetrics() const {
   return snapshot;
 }
 
-void QueryService::ExecutePlanned(const std::vector<PlannedQuery>& plan,
-                                  ServiceReport& report) {
+void QueryService::Execute(const std::vector<QueryPair>& queries,
+                           const std::vector<PlannedQuery>& plan,
+                           ServiceReport& report) {
   Timer plan_timer;
   const WorkloadPlan* planned = nullptr;
   {
     const obs::TraceSpan plan_span(h_plan_, "plan");
-    refs_.clear();
-    refs_.reserve(plan.size());
+    admitted_.clear();
     for (size_t i = 0; i < plan.size(); ++i) {
       ServiceAnswer& answer = report.answers[i];
       answer.query = plan[i].query;
-      if (!plan[i].admitted) {
-        answer.rejected = true;
-        answer.reason = plan[i].reason;
+      if (plan[i].admitted) {
+        admitted_.push_back(static_cast<uint32_t>(i));
         continue;
       }
-      refs_.push_back({plan[i].query, i, plan[i].noise_stream});
+      answer.rejected = true;
+      answer.reason = plan[i].reason;
     }
-    planned = &planner_.Plan(refs_);
+    planned = &planner_.Plan(queries, admitted_);
   }
   const WorkloadPlan& workload = *planned;
   report.planner_seconds = plan_timer.Seconds();
   report.groups_formed = workload.groups.size();
   report.avg_group_size = workload.AvgGroupSize();
 
-  // Group estimates land in their submission slots; every slot is written
-  // by exactly one group, so groups parallelize freely. Each worker chunk
-  // keeps one executor whose scratch survives across its groups.
-  // resize, not assign: rejected slots are never read, so stale values
-  // from the previous submission are harmless and re-zeroing is waste.
-  estimates_.resize(plan.size());
-  std::span<double> estimates(estimates_);
+  // Workers claim whole groups, so a shared source's view stays in cache
+  // across its group; every slot is written by exactly one query, so the
+  // chunks run freely in parallel. Groups are laid out contiguously in
+  // `order`, so a chunk of groups is one range of slots.
   // One execute span per worker chunk, not per group: a group runs in a
   // few µs, so per-group spans would spend a measurable share of the
   // execute phase measuring it. The histogram's quantiles describe chunk
@@ -790,16 +755,49 @@ void QueryService::ExecutePlanned(const std::vector<PlannedQuery>& plan,
   pool_.ParallelFor(
       workload.groups.size(), [&](size_t begin, size_t end) {
         const obs::TraceSpan execute_span(h_execute_, "execute_chunk");
-        GroupExecutor executor(graph_, plan_, debias_, store_, noise_root_,
-                               h_post_process_, ex_post_process_,
-                               submit_seq_);
-        for (size_t g = begin; g < end; ++g) {
-          executor.Execute(workload, workload.groups[g], estimates);
-        }
+        const uint32_t first = workload.groups[begin].begin;
+        const std::span<const uint32_t> slots =
+            std::span<const uint32_t>(workload.order)
+                .subspan(first, workload.groups[end - 1].end - first);
+        obs::ForEachSampled(
+            slots.size(), kPostProcessSampleStride, h_post_process_,
+            [&](size_t i) {
+              report.answers[slots[i]].estimate = Answer(plan[slots[i]]);
+            },
+            [&](size_t i, uint64_t dt) {
+              OfferPostProcessExemplar(plan[slots[i]].query, dt);
+            });
       });
-  for (const GroupItem& item : workload.items) {
-    report.answers[item.slot].estimate = estimates[item.slot];
+}
+
+void QueryService::OfferPostProcessExemplar(const QueryPair& query,
+                                            uint64_t nanos) const {
+  if (ex_post_process_ == nullptr || !ex_post_process_->WouldAccept(nanos)) {
+    return;
   }
+  // The operands of the query's first intersection (core/
+  // protocol_pipeline.h): w's view against u's view for Naive/OneR, and
+  // against u's true neighbor list for the MultiR family.
+  const LayeredVertex u{query.layer, query.u};
+  const LayeredVertex w{query.layer, query.w};
+  const SetView a = plan_.LaplaceFromU()
+                        ? SetView::Sorted(graph_.Neighbors(u))
+                        : store_.View(u).View();
+  const SetView b = store_.View(w).View();
+  obs::Exemplar e;
+  e.seconds = static_cast<double>(nanos) * 1e-9;
+  e.submit = submit_seq_;
+  e.has_query = true;
+  e.layer = static_cast<uint8_t>(query.layer);
+  e.u = query.u;
+  e.w = query.w;
+  e.kernel = DispatchedKernelName(a, b);
+  e.repr_u = a.IsBitmap() ? "bitmap" : "sorted";
+  e.size_u = a.Size();
+  e.repr_w = b.IsBitmap() ? "bitmap" : "sorted";
+  e.size_w = b.Size();
+  e.simd = SimdLevelName(ActiveSimdLevel());
+  ex_post_process_->Offer(nanos, e);
 }
 
 RejectReason QueryService::Admit(const QueryPair& query) {

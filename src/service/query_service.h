@@ -116,12 +116,6 @@ struct ServiceOptions {
   /// across runs and thread counts.
   uint64_t seed = 7;
 
-  /// Execute submissions through the WorkloadPlanner: admitted queries are
-  /// grouped by shared endpoint and each group runs with per-source reused
-  /// state (service/workload_planner.h). Answers are byte-identical to the
-  /// per-query path; disable only to measure the planner's benefit.
-  bool enable_planner = true;
-
   /// Directory for crash-safe persistence (snapshot + budget write-ahead
   /// log, store/). Empty disables persistence. When set, the service
   /// recovers any existing state at construction (snapshot load + WAL
@@ -194,8 +188,8 @@ struct ServiceReport {
   /// degraded service answered read-only queries with no journal at all.
   bool sealed = true;
 
-  // Planner accounting for this submission (zero when the planner was
-  // disabled or nothing was admitted).
+  // Planner accounting for this submission (zero when nothing was
+  // admitted).
   uint64_t groups_formed = 0;
   double avg_group_size = 0.0;
   double planner_seconds = 0.0;  ///< plan construction only, not execution
@@ -242,8 +236,7 @@ class QueryService {
 
   /// Answers `queries` (any mix of layers) and returns answers in input
   /// order. Deterministic: depends only on the graph, options, and the
-  /// submission history — never on num_threads, scheduling, or whether the
-  /// planner is enabled.
+  /// submission history — never on num_threads or scheduling.
   ServiceReport Submit(const std::vector<QueryPair>& queries);
 
   /// Raises the lifetime budget every vertex may spend (see
@@ -331,11 +324,16 @@ class QueryService {
   /// per-query driver over the shared pipeline's PostProcess.
   double Answer(const PlannedQuery& planned) const;
 
-  /// Planner path of phase 3: groups the admitted queries by shared
-  /// endpoint and executes each group with per-source reused state.
-  /// Byte-identical to the per-query path.
-  void ExecutePlanned(const std::vector<PlannedQuery>& plan,
-                      ServiceReport& report);
+  /// Phase 3: fills every answer slot. Rejections are copied from `plan`;
+  /// admitted queries are ordered by shared endpoint (WorkloadPlanner) and
+  /// answered by Answer(), one group range per worker chunk.
+  void Execute(const std::vector<QueryPair>& queries,
+               const std::vector<PlannedQuery>& plan, ServiceReport& report);
+
+  /// Offers a clocked post-process sample to the exemplar reservoir with
+  /// the query's kernel and operand context (built only when the sample
+  /// would be kept).
+  void OfferPostProcessExemplar(const QueryPair& query, uint64_t nanos) const;
 
   /// Registers metric handles per options_.metrics_level (constructor
   /// helper). Null handles keep every recording site a branch.
@@ -378,8 +376,8 @@ class QueryService {
   obs::LatencyHistogram* h_admission_ = nullptr;     ///< per query
   obs::LatencyHistogram* h_wal_fsync_ = nullptr;     ///< per submit seal
   obs::LatencyHistogram* h_release_ = nullptr;       ///< per submit barrier
-  obs::LatencyHistogram* h_plan_ = nullptr;          ///< per planned submit
-  obs::LatencyHistogram* h_execute_ = nullptr;       ///< per group / chunk
+  obs::LatencyHistogram* h_plan_ = nullptr;          ///< per submit
+  obs::LatencyHistogram* h_execute_ = nullptr;       ///< per worker chunk
   obs::LatencyHistogram* h_post_process_ = nullptr;  ///< per query, sampled
   obs::LatencyHistogram* h_checkpoint_ = nullptr;    ///< per checkpoint
   // Budget burn-down telemetry (≥ kCounters): per-protocol ε spend in
@@ -395,8 +393,7 @@ class QueryService {
 
   // Submit-level scratch, reused across submissions (Submit is not
   // reentrant by contract).
-  std::vector<PlannedQueryRef> refs_;
-  std::vector<double> estimates_;
+  std::vector<uint32_t> admitted_;  ///< slots of the admitted queries
   uint64_t cache_hit_lookups_ = 0;  ///< flushed to the store per Submit
   uint64_t submit_seq_ = 0;         ///< 1-based id of the current Submit
   // Per-mechanism ε spent by the current submission, flushed to the

@@ -237,44 +237,6 @@ TEST(SetOpsUnionTest, PicksTheExpectedKernel) {
   EXPECT_STREQ(DispatchedUnionKernelName(b, b), "bitmap_or");
 }
 
-TEST(BatchIntersectionTest, MatchesPerPairDispatcherAcrossRepresentations) {
-  Rng rng(53);
-  for (VertexId domain : {VertexId{65}, VertexId{300}, VertexId{1000}}) {
-    for (double base_density : {0.02, 0.4}) {
-      const auto base_ids = RandomSortedSet(domain, base_density, rng);
-      const DenseBitset base_bits = ToBitset(base_ids, domain);
-      // A mixed bag of candidates: sparse sorted, dense sorted, bitmaps.
-      std::vector<std::vector<VertexId>> cand_ids;
-      std::vector<DenseBitset> cand_bits;
-      for (double d : {0.0, 0.01, 0.2, 0.9}) {
-        cand_ids.push_back(RandomSortedSet(domain, d, rng));
-        cand_bits.push_back(ToBitset(cand_ids.back(), domain));
-      }
-      std::vector<SetView> candidates;
-      for (size_t i = 0; i < cand_ids.size(); ++i) {
-        candidates.push_back(SetView::Sorted(cand_ids[i]));
-        candidates.push_back(
-            SetView::Bitmap(cand_bits[i], cand_ids[i].size()));
-      }
-      for (const SetView& base :
-           {SetView::Sorted(base_ids),
-            SetView::Bitmap(base_bits, base_ids.size())}) {
-        std::vector<uint64_t> got(candidates.size(), ~uint64_t{0});
-        BatchIntersectionSize(base, candidates, got);
-        for (size_t i = 0; i < candidates.size(); ++i) {
-          EXPECT_EQ(got[i], IntersectionSize(base, candidates[i]))
-              << domain << " candidate " << i;
-        }
-      }
-    }
-  }
-}
-
-TEST(BatchIntersectionTest, EmptyCandidateListIsANoOp) {
-  const std::vector<VertexId> ids = {1, 2, 3};
-  BatchIntersectionSize(SetView::Sorted(ids), {}, {});
-}
-
 TEST(SetOpsDispatchTest, PicksTheExpectedKernel) {
   std::vector<VertexId> small = {1, 2, 3};
   std::vector<VertexId> large(400);

@@ -116,7 +116,7 @@ TEST_F(SimdParityTest, FuzzedOperandsAgreeAcrossLevels) {
   }
 }
 
-TEST_F(SimdParityTest, BatchIntersectionMatchesPerPairAtEveryLevel) {
+TEST_F(SimdParityTest, MixedRepresentationsMatchSortedReferenceAtEveryLevel) {
   Rng rng(13);
   const VertexId domain = 777;  // ragged at every stride
   const DenseBitset base_bits = RandomBitset(domain, 0.4, rng);
@@ -130,7 +130,7 @@ TEST_F(SimdParityTest, BatchIntersectionMatchesPerPairAtEveryLevel) {
   }
   std::vector<SetView> candidates;
   for (int i = 0; i < 24; ++i) {
-    // Alternate representations so the batch loop crosses kernels.
+    // Alternate representations so the dispatcher crosses kernels.
     candidates.push_back(i % 2 == 0
                              ? SetView::Bitmap(cand_bits[i], cand_ids[i].size())
                              : SetView::Sorted(cand_ids[i]));
@@ -145,8 +145,10 @@ TEST_F(SimdParityTest, BatchIntersectionMatchesPerPairAtEveryLevel) {
     ForceSimdLevel(level);
     for (const SetView& base : {SetView::Bitmap(base_bits, base_ids.size()),
                                 SetView::Sorted(base_ids)}) {
-      std::vector<uint64_t> got(candidates.size(), ~uint64_t{0});
-      BatchIntersectionSize(base, candidates, got);
+      std::vector<uint64_t> got;
+      for (const SetView& candidate : candidates) {
+        got.push_back(IntersectionSize(base, candidate));
+      }
       EXPECT_EQ(got, want) << SimdLevelName(level)
                            << (base.IsBitmap() ? " bitmap base"
                                                : " sorted base");

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -139,36 +140,36 @@ TEST(TraceSpanTest, ExceptionUnwindDoesNotLeakNestingAcrossSubmits) {
   EXPECT_GE(child_snap.QuantileNanos(1.0), 8e6);
 }
 
-TEST(SampledRecorderTest, DisabledRecorderNeverSamples) {
-  SampledRecorder recorder(nullptr);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_FALSE(recorder.ShouldSample());
-  }
-  recorder.Record(123);  // must be a no-op, not a crash
+TEST(ForEachSampledTest, NullHistogramRunsEveryItemUnclocked) {
+  std::vector<size_t> seen;
+  size_t samples = 0;
+  ForEachSampled(
+      10, 4, nullptr, [&](size_t i) { seen.push_back(i); },
+      [&](size_t, uint64_t) { ++samples; });
+  ASSERT_EQ(seen.size(), 10u);
+  for (size_t i = 0; i < seen.size(); ++i) EXPECT_EQ(seen[i], i);
+  EXPECT_EQ(samples, 0u);
 }
 
-TEST(SampledRecorderTest, SamplesDeterministicallyOneInEight) {
+TEST(ForEachSampledTest, ClocksOneItemPerStrideStartingAtZero) {
   LatencyHistogram histogram;
-  SampledRecorder recorder(&histogram);
-  int sampled = 0;
-  for (int i = 0; i < 64; ++i) {
-    if (recorder.ShouldSample()) {
-      ++sampled;
-      EXPECT_EQ(i % 8, 0) << "sample at tick " << i;
-      recorder.Record(100);
-    }
-  }
-  EXPECT_EQ(sampled, 8);
-  EXPECT_EQ(histogram.Snapshot().count, 8u);
+  std::vector<size_t> seen;
+  std::vector<size_t> sampled;
+  ForEachSampled(
+      20, 8, &histogram, [&](size_t i) { seen.push_back(i); },
+      [&](size_t i, uint64_t) { sampled.push_back(i); });
+  ASSERT_EQ(seen.size(), 20u);
+  for (size_t i = 0; i < seen.size(); ++i) EXPECT_EQ(seen[i], i);
+  EXPECT_EQ(sampled, (std::vector<size_t>{0, 8, 16}));
+  EXPECT_EQ(histogram.Snapshot().count, 3u);
 }
 
-TEST(SampledRecorderTest, ShiftZeroSamplesEveryCall) {
+TEST(ForEachSampledTest, StrideOneClocksEveryItem) {
   LatencyHistogram histogram;
-  SampledRecorder recorder(&histogram, /*shift=*/0);
-  for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(recorder.ShouldSample());
-    recorder.Record(1);
-  }
+  size_t calls = 0;
+  ForEachSampled(
+      10, 1, &histogram, [&](size_t) { ++calls; }, [](size_t, uint64_t) {});
+  EXPECT_EQ(calls, 10u);
   EXPECT_EQ(histogram.Snapshot().count, 10u);
 }
 

@@ -21,11 +21,28 @@ std::vector<QueryPair> TestWorkload(const BipartiteGraph& g, size_t count) {
   return MakeHotSetWorkload(g, Layer::kLower, count, 8, rng);
 }
 
+// Hot-set reuse plus duplicates, both orientations, a self-pair and the
+// other layer; under a lifetime budget of 6 the MultiR family also hits
+// rejections mid-stream.
+std::vector<QueryPair> AdversarialWorkload(const BipartiteGraph& g) {
+  Rng rng(2024);
+  std::vector<QueryPair> queries =
+      MakeHotSetWorkload(g, Layer::kLower, 120, 6, rng);
+  queries.push_back({Layer::kLower, 0, 1});
+  queries.push_back({Layer::kLower, 0, 1});  // duplicate
+  queries.push_back({Layer::kLower, 1, 0});  // reversed orientation
+  queries.push_back({Layer::kLower, 3, 3});  // self-pair
+  queries.push_back({Layer::kUpper, 0, 1});  // other layer
+  return queries;
+}
+
 ServiceReport RunOnce(const BipartiteGraph& g, ServiceAlgorithm algorithm,
-                      int threads, const std::vector<QueryPair>& workload) {
+                      int threads, const std::vector<QueryPair>& workload,
+                      double lifetime_budget = 0.0) {
   ServiceOptions options;
   options.algorithm = algorithm;
   options.epsilon = 2.0;
+  options.lifetime_budget = lifetime_budget;
   options.num_threads = threads;
   options.seed = 99;
   QueryService service(g, options);
@@ -37,27 +54,39 @@ ServiceReport RunOnce(const BipartiteGraph& g, ServiceAlgorithm algorithm,
 
 TEST(QueryServiceTest, AnswersAreIdenticalAcrossThreadCounts) {
   const BipartiteGraph g = TestGraph();
-  const std::vector<QueryPair> workload = TestWorkload(g, 300);
-  for (ServiceAlgorithm algorithm :
-       {ServiceAlgorithm::kNaive, ServiceAlgorithm::kOneR,
-        ServiceAlgorithm::kMultiRSS, ServiceAlgorithm::kMultiRDS}) {
-    const ServiceReport sequential = RunOnce(g, algorithm, 1, workload);
-    for (int threads : {2, 8}) {
-      const ServiceReport parallel = RunOnce(g, algorithm, threads, workload);
-      ASSERT_EQ(parallel.answers.size(), sequential.answers.size());
-      for (size_t i = 0; i < sequential.answers.size(); ++i) {
-        EXPECT_EQ(parallel.answers[i].rejected,
-                  sequential.answers[i].rejected)
-            << ToString(algorithm) << " query " << i << " threads "
-            << threads;
-        // Bitwise equality, not approximate: the noise itself is shared.
-        EXPECT_EQ(parallel.answers[i].estimate,
-                  sequential.answers[i].estimate)
-            << ToString(algorithm) << " query " << i << " threads "
-            << threads;
+  const struct {
+    std::vector<QueryPair> workload;
+    double lifetime_budget;
+  } inputs[] = {{TestWorkload(g, 300), 0.0}, {AdversarialWorkload(g), 6.0}};
+  for (const auto& [workload, lifetime_budget] : inputs) {
+    for (ServiceAlgorithm algorithm :
+         {ServiceAlgorithm::kNaive, ServiceAlgorithm::kOneR,
+          ServiceAlgorithm::kMultiRSS, ServiceAlgorithm::kMultiRDS}) {
+      const ServiceReport sequential =
+          RunOnce(g, algorithm, 1, workload, lifetime_budget);
+      if (lifetime_budget > 0.0 && algorithm != ServiceAlgorithm::kNaive &&
+          algorithm != ServiceAlgorithm::kOneR) {
+        EXPECT_GT(sequential.rejected, 0u) << ToString(algorithm);
       }
-      EXPECT_EQ(parallel.store.releases, sequential.store.releases);
-      EXPECT_EQ(parallel.rejected, sequential.rejected);
+      for (int threads : {2, 8}) {
+        const ServiceReport parallel =
+            RunOnce(g, algorithm, threads, workload, lifetime_budget);
+        ASSERT_EQ(parallel.answers.size(), sequential.answers.size());
+        for (size_t i = 0; i < sequential.answers.size(); ++i) {
+          EXPECT_EQ(parallel.answers[i].rejected,
+                    sequential.answers[i].rejected)
+              << ToString(algorithm) << " query " << i << " threads "
+              << threads;
+          // Bitwise equality, not approximate: the noise itself is shared.
+          EXPECT_EQ(parallel.answers[i].estimate,
+                    sequential.answers[i].estimate)
+              << ToString(algorithm) << " query " << i << " threads "
+              << threads;
+        }
+        EXPECT_EQ(parallel.store.releases, sequential.store.releases);
+        EXPECT_EQ(parallel.rejected, sequential.rejected);
+        EXPECT_EQ(parallel.groups_formed, sequential.groups_formed);
+      }
     }
   }
 }
