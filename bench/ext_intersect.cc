@@ -10,9 +10,9 @@
 // Every timed configuration self-checks each kernel's count against the
 // scalar merge on the same inputs; any disagreement makes the process
 // exit non-zero, so the CI bench run doubles as a correctness gate. Each
-// cell also records how far the calibrated dispatcher landed from the
-// best kernel applicable to the auto-storage representations
-// (`auto_gap`; 1.0 = picked the best).
+// cell also records how far the dispatcher landed from the best kernel
+// applicable to the auto-storage representations (`auto_gap`; 1.0 =
+// picked the best).
 //
 // Extra flags on top of the shared bench set:
 //   --domains=N,M    id-domains of the synthetic sweep (default 65536 and
@@ -245,8 +245,6 @@ bool CheckPair(const std::vector<VertexId>& a, const std::vector<VertexId>& b,
     } checks[] = {
         {"bitmap_and", IntersectBitmapAnd(ba, bb), want_and},
         {"bitmap_and_swapped", IntersectBitmapAnd(bb, ba), want_and},
-        {"bitmap_probe", IntersectBitmapProbe(ba, bb), want_and},
-        {"bitmap_probe_swapped", IntersectBitmapProbe(bb, ba), want_and},
         {"probe_bitmap", IntersectProbeBitmap(a, bb), want_and},
         {"galloping", IntersectGalloping(a, b), want_and},
         {"union_bitmap_or", UnionBitmapOr(ba, bb), want_or},
@@ -258,6 +256,8 @@ bool CheckPair(const std::vector<VertexId>& a, const std::vector<VertexId>& b,
         {"dispatch_mixed",
          IntersectionSize(SetView::Sorted(a), SetView::Bitmap(bb, b.size())),
          want_and},
+        {"dispatch_sorted",
+         IntersectionSize(SetView::Sorted(a), SetView::Sorted(b)), want_and},
     };
     for (const auto& c : checks) {
       if (c.got != c.want) {
@@ -327,8 +327,6 @@ int RunSelfCheckMode(uint64_t seed) {
     for (SimdLevel level : levels) {
       ForceSimdLevel(level);
       if (IntersectBitmapAnd(ba, bb) != want ||
-          IntersectBitmapProbe(ba, bb) != want ||
-          IntersectBitmapProbe(bb, ba) != want ||
           IntersectProbeBitmap(a, bb) != want) {
         std::fprintf(stderr, "SELF-CHECK FAILED: fuzz round %d at %s\n",
                      round, SimdLevelName(level));
@@ -394,11 +392,15 @@ int main(int argc, char** argv) {
        << "  \"grid\": [\n";
 
   // Density × skew sweep. density_b / density_a is the size skew; the
-  // 0.27-ish densities are the ε = 1 noisy-row regime.
+  // 0.27-ish densities are the ε = 1 noisy-row regime. The last four
+  // cells are skewed pairs below kBitmapDensityThreshold, so both sides
+  // stay sorted and the cell measures the merge/galloping choice (size
+  // ratios about 4, 10, 10 and 50).
   const std::vector<std::pair<double, double>> grid = {
-      {0.001, 0.001}, {0.01, 0.01},  {0.1, 0.1},   {0.27, 0.27},
-      {0.5, 0.5},     {0.001, 0.27}, {0.001, 0.5}, {0.01, 0.27},
-      {0.0001, 0.27}, {0.1, 0.27},
+      {0.001, 0.001},  {0.01, 0.01},    {0.1, 0.1},      {0.27, 0.27},
+      {0.5, 0.5},      {0.001, 0.27},   {0.001, 0.5},    {0.01, 0.27},
+      {0.0001, 0.27},  {0.1, 0.27},     {0.001, 0.004},  {0.0001, 0.001},
+      {0.0005, 0.005}, {0.0001, 0.005},
   };
 
   bool first = true;
@@ -435,9 +437,6 @@ int main(int argc, char** argv) {
         results.back().simd_level = SimdLevelName(level);
       }
       ForceSimdLevel(detected);
-      results.push_back(TimeKernel("bitmap_probe", reps, [&] {
-        return IntersectBitmapProbe(ba, bb);
-      }));
       results.push_back(TimeKernel("probe_bitmap", reps, [&] {
         return IntersectProbeBitmap(a, bb);
       }));
@@ -458,9 +457,8 @@ int main(int argc, char** argv) {
       for (const KernelResult& r : results) {
         bool applicable = false;
         if (auto_a.IsBitmap() && auto_b.IsBitmap()) {
-          applicable = (r.kernel == "bitmap_and" &&
-                        r.simd_level == SimdLevelName(detected)) ||
-                       r.kernel == "bitmap_probe";
+          applicable = r.kernel == "bitmap_and" &&
+                       r.simd_level == SimdLevelName(detected);
         } else if (auto_a.IsBitmap() || auto_b.IsBitmap()) {
           applicable = r.kernel == "probe_bitmap";
         } else {
@@ -484,9 +482,6 @@ int main(int argc, char** argv) {
         }
         if (kernel == "bitmap_and") {
           return [&] { return IntersectBitmapAnd(ba, bb); };
-        }
-        if (kernel == "bitmap_probe") {
-          return [&] { return IntersectBitmapProbe(ba, bb); };
         }
         return [&] { return IntersectProbeBitmap(a, bb); };
       };

@@ -4,7 +4,6 @@
 #include <bit>
 #include <utility>
 
-#include "graph/set_ops_cost.h"
 #include "graph/set_ops_kernels.h"
 #include "util/logging.h"
 
@@ -60,22 +59,10 @@ const WordKernels& WordKernelsFor(SimdLevel level) {
 
 }  // namespace simd
 
-// ---- calibrated cost model ----
-
 namespace {
-#include "graph/set_ops_calibration.inc"
-}  // namespace
 
-const KernelCostTable& CostTableFor(SimdLevel level) {
-  return kDefaultCostTables[static_cast<int>(level)];
-}
-
-double PredictKernelNs(SetKernel kernel, uint64_t work,
-                       const KernelCostTable& table) {
-  const double per_unit =
-      table.ns_per_unit[static_cast<int>(kernel)][WorkBucket(work)];
-  return per_unit * static_cast<double>(work);
-}
+// The intersection kernels IntersectionSize dispatches to.
+enum class SetKernel { kScalarMerge, kGalloping, kBitmapAnd, kProbeBitmap };
 
 const char* SetKernelName(SetKernel kernel) {
   switch (kernel) {
@@ -87,49 +74,20 @@ const char* SetKernelName(SetKernel kernel) {
       return "bitmap_and";
     case SetKernel::kProbeBitmap:
       return "probe_bitmap";
-    case SetKernel::kBitmapProbe:
-      return "bitmap_probe";
   }
   return "unknown";
 }
 
-namespace {
-
-// The chooser shared by IntersectionSize and DispatchedKernelName: the
-// operand representations fix the applicable kernels, the calibrated
-// table prices them, argmin wins. Falls back to the pre-calibration
-// kGallopRatio rule if a table entry is unusable (<= 0).
+// The dispatch rule shared by the intersection and union dispatchers:
+// the operand representations fix the kernel, and only a sorted × sorted
+// pair has a choice, settled by the size ratio.
 SetKernel ChooseIntersectKernel(const SetView& a, const SetView& b) {
-  if (a.IsBitmap() && b.IsBitmap()) {
-    const size_t words_a = a.bitmap().Words().size();
-    const size_t words_b = b.bitmap().Words().size();
-    const KernelCostTable& table = ActiveCostTable();
-    const uint64_t and_work = BitmapAndWork(words_a, words_b);
-    // The skip-zero probe walks the lower-popcount operand's words.
-    const bool a_sparse = a.Size() <= b.Size();
-    const uint64_t probe_work = BitmapProbeWork(
-        a_sparse ? words_a : words_b, a_sparse ? a.Size() : b.Size());
-    const double and_ns = PredictKernelNs(SetKernel::kBitmapAnd, and_work,
-                                          table);
-    const double probe_ns = PredictKernelNs(SetKernel::kBitmapProbe,
-                                            probe_work, table);
-    if (and_ns <= 0 || probe_ns <= 0) return SetKernel::kBitmapAnd;
-    return probe_ns < and_ns ? SetKernel::kBitmapProbe : SetKernel::kBitmapAnd;
-  }
+  if (a.IsBitmap() && b.IsBitmap()) return SetKernel::kBitmapAnd;
   if (a.IsBitmap() || b.IsBitmap()) return SetKernel::kProbeBitmap;
   const uint64_t small = std::min(a.Size(), b.Size());
   const uint64_t large = std::max(a.Size(), b.Size());
-  const KernelCostTable& table = ActiveCostTable();
-  const double merge_ns = PredictKernelNs(SetKernel::kScalarMerge,
-                                          MergeWork(small, large), table);
-  const double gallop_ns = PredictKernelNs(SetKernel::kGalloping,
-                                           GallopWork(small, large), table);
-  if (merge_ns <= 0 || gallop_ns <= 0) {
-    return large / (small + 1) >= kGallopRatio ? SetKernel::kGalloping
-                                               : SetKernel::kScalarMerge;
-  }
-  return gallop_ns < merge_ns ? SetKernel::kGalloping
-                              : SetKernel::kScalarMerge;
+  return large / (small + 1) >= kGallopRatio ? SetKernel::kGalloping
+                                             : SetKernel::kScalarMerge;
 }
 
 }  // namespace
@@ -232,23 +190,6 @@ uint64_t IntersectBitmapAnd(const DenseBitset& a, const DenseBitset& b) {
   return simd::ActiveWordKernels().and_popcount(wa.data(), wb.data(), n);
 }
 
-uint64_t IntersectBitmapProbe(const DenseBitset& sparse,
-                              const DenseBitset& dense) {
-  const std::span<const uint64_t> ws = sparse.Words();
-  const std::span<const uint64_t> wd = dense.Words();
-  const size_t n = std::min(ws.size(), wd.size());
-  uint64_t count = 0;
-  // Deliberately scalar: the win over the vector AND is skipping the
-  // dense-side load on every zero word of the sparse side, which a
-  // branchless vector sweep cannot do.
-  for (size_t i = 0; i < n; ++i) {
-    const uint64_t w = ws[i];
-    if (w == 0) continue;
-    count += static_cast<uint64_t>(std::popcount(w & wd[i]));
-  }
-  return count;
-}
-
 uint64_t IntersectProbeBitmap(std::span<const VertexId> probes,
                               const DenseBitset& bits) {
   uint64_t count = 0;
@@ -262,10 +203,6 @@ uint64_t IntersectionSize(const SetView& a, const SetView& b) {
   switch (ChooseIntersectKernel(a, b)) {
     case SetKernel::kBitmapAnd:
       return IntersectBitmapAnd(a.bitmap(), b.bitmap());
-    case SetKernel::kBitmapProbe:
-      return a.Size() <= b.Size()
-                 ? IntersectBitmapProbe(a.bitmap(), b.bitmap())
-                 : IntersectBitmapProbe(b.bitmap(), a.bitmap());
     case SetKernel::kProbeBitmap:
       return a.IsBitmap() ? IntersectProbeBitmap(b.sorted(), a.bitmap())
                           : IntersectProbeBitmap(a.sorted(), b.bitmap());
@@ -310,29 +247,33 @@ uint64_t UnionBitmapOr(const DenseBitset& a, const DenseBitset& b) {
 }
 
 uint64_t UnionSize(const SetView& a, const SetView& b) {
-  if (a.IsBitmap() && b.IsBitmap()) {
-    return UnionBitmapOr(a.bitmap(), b.bitmap());
-  }
-  if (a.IsBitmap() || b.IsBitmap()) {
-    return a.Size() + b.Size() - IntersectionSize(a, b);
-  }
-  const uint64_t small = std::min(a.Size(), b.Size());
-  const uint64_t large = std::max(a.Size(), b.Size());
-  if (large / (small + 1) >= kGallopRatio) {
-    // Skewed sorted × sorted: inclusion–exclusion over the galloping
-    // intersection beats merging the large operand element by element.
-    return a.Size() + b.Size() - IntersectGalloping(a.sorted(), b.sorted());
+  switch (ChooseIntersectKernel(a, b)) {
+    case SetKernel::kBitmapAnd:
+      return UnionBitmapOr(a.bitmap(), b.bitmap());
+    case SetKernel::kProbeBitmap:
+    case SetKernel::kGalloping:
+      // Mixed or skewed pair: inclusion–exclusion over the probe or
+      // galloping intersection beats merging the larger operand element
+      // by element (exact on unique sets).
+      return a.Size() + b.Size() - IntersectionSize(a, b);
+    case SetKernel::kScalarMerge:
+      break;
   }
   return UnionScalarMerge(a.sorted(), b.sorted());
 }
 
 const char* DispatchedUnionKernelName(const SetView& a, const SetView& b) {
-  if (a.IsBitmap() && b.IsBitmap()) return "bitmap_or";
-  if (a.IsBitmap() || b.IsBitmap()) return "probe_complement";
-  const uint64_t small = std::min(a.Size(), b.Size());
-  const uint64_t large = std::max(a.Size(), b.Size());
-  return large / (small + 1) >= kGallopRatio ? "gallop_complement"
-                                             : "scalar_merge";
+  switch (ChooseIntersectKernel(a, b)) {
+    case SetKernel::kBitmapAnd:
+      return "bitmap_or";
+    case SetKernel::kProbeBitmap:
+      return "probe_complement";
+    case SetKernel::kGalloping:
+      return "gallop_complement";
+    case SetKernel::kScalarMerge:
+      break;
+  }
+  return "scalar_merge";
 }
 
 }  // namespace cne

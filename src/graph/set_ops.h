@@ -5,18 +5,16 @@
 // *dense*: the expected noisy degree is d(1-p) + (n-d)p, so at ε = 1
 // (p ≈ 0.269) a noisy row covers ~27% of the opposite layer. One scalar
 // sorted merge cannot serve that whole density range well, so this module
-// provides two set representations and five kernels, plus a dispatcher
-// that picks the kernel from the operand representations and a
-// *calibrated* per-kernel cost model (set_ops_cost.h):
+// provides two set representations and four kernels, plus a dispatcher
+// that picks the kernel from the operand representations and, for two
+// sorted sets, their size ratio:
 //
 //   representation      kernel                    regime
 //   ------------------  ------------------------  --------------------------
 //   sorted × sorted     IntersectScalarMerge      comparable sizes
-//   sorted × sorted     IntersectGalloping        skewed sizes
-//   bitmap × bitmap     IntersectBitmapAnd        dense × dense (word AND +
-//                                                 popcount; SIMD below)
-//   bitmap × bitmap     IntersectBitmapProbe      sparse × dense bitmaps
-//                                                 (skip-zero word AND)
+//   sorted × sorted     IntersectGalloping        skewed sizes (kGallopRatio)
+//   bitmap × bitmap     IntersectBitmapAnd        every bitmap pair (word
+//                                                 AND + popcount; SIMD below)
 //   sorted × bitmap     IntersectProbeBitmap      sparse × dense (O(1) probes)
 //
 // The word kernels (AND/OR + popcount, DenseBitset::Count) dispatch at
@@ -191,11 +189,14 @@ class SetView {
   uint64_t size_ = 0;
 };
 
-/// Sorted × sorted size ratio beyond which the *union* dispatcher (and the
-/// cost-model fallback, when a calibration entry is absent) switches from
-/// the scalar merge to galloping search. The intersection dispatcher
-/// itself prices merge vs galloping from the calibrated table.
-inline constexpr uint64_t kGallopRatio = 32;
+/// Sorted × sorted size ratio at which both dispatchers switch from the
+/// scalar merge to galloping search: galloping runs when
+/// large / (small + 1) >= kGallopRatio. Set from a merge-vs-galloping
+/// sweep over |small| = 16..16384 (docs/ARCHITECTURE.md, "Runtime ISA
+/// dispatch and the kernel dispatch rule"). The crossover sat at a ratio
+/// of about 5 up to |small| = 2048 and drifted to 16-32 at 4096-8192;
+/// this one ratio kept every cell within 1.5× of the faster kernel.
+inline constexpr uint64_t kGallopRatio = 4;
 
 /// Scalar two-pointer merge over two sorted unique id ranges. The baseline
 /// every other kernel must agree with.
@@ -214,23 +215,15 @@ uint64_t IntersectGalloping(std::span<const VertexId> a,
 /// domains; bits beyond the shorter domain cannot intersect.
 uint64_t IntersectBitmapAnd(const DenseBitset& a, const DenseBitset& b);
 
-/// Sparse × dense bitmap kernel: walk `sparse`'s words, skip zero words,
-/// AND+popcount the rest against `dense`. Loads only half the data of
-/// IntersectBitmapAnd when `sparse` is mostly zero words; same count.
-uint64_t IntersectBitmapProbe(const DenseBitset& sparse,
-                              const DenseBitset& dense);
-
 /// Sparse × dense kernel: probe each sorted id into the bitmap, O(1) per
 /// probe. Ids at or beyond the bitmap's domain count as absent.
 uint64_t IntersectProbeBitmap(std::span<const VertexId> probes,
                               const DenseBitset& bits);
 
-/// Adaptive dispatcher. Representations fix the candidate set (bitmap ×
-/// bitmap → {word AND, skip-zero probe}, sorted × bitmap → probe, sorted ×
-/// sorted → {merge, galloping}); within it, the calibrated cost model
-/// (set_ops_cost.h) predicts each kernel's ns from the operand sizes and
-/// the active SIMD level and runs the argmin. Always equals
-/// IntersectScalarMerge on the equivalent sorted inputs.
+/// Adaptive dispatcher. The representations fix the kernel (bitmap ×
+/// bitmap → word AND, sorted × bitmap → probe); a sorted × sorted pair
+/// runs galloping at kGallopRatio and the scalar merge below it. Always
+/// equals IntersectScalarMerge on the equivalent sorted inputs.
 uint64_t IntersectionSize(const SetView& a, const SetView& b);
 
 /// Name of the kernel the dispatcher would run for (a, b); for logs and the
@@ -248,11 +241,12 @@ uint64_t UnionScalarMerge(std::span<const VertexId> a,
 /// (SIMD-dispatched), plus the popcount of the longer operand's tail.
 uint64_t UnionBitmapOr(const DenseBitset& a, const DenseBitset& b);
 
-/// Adaptive union dispatcher: bitmap × bitmap → word OR + popcount; any
-/// mixed pair → |a| + |b| − |a ∩ b| through the intersection dispatcher
-/// (probe / galloping, inclusion–exclusion is exact on unique sets);
-/// sorted × sorted of comparable sizes → scalar merge. Always equals
-/// UnionScalarMerge on the equivalent sorted inputs.
+/// Adaptive union dispatcher, on the intersection dispatcher's rule:
+/// bitmap × bitmap → word OR + popcount; a mixed pair, or a sorted pair
+/// at kGallopRatio → |a| + |b| − |a ∩ b| through the probe or galloping
+/// intersection (inclusion–exclusion is exact on unique sets); any other
+/// sorted pair → scalar merge. Always equals UnionScalarMerge on the
+/// equivalent sorted inputs.
 uint64_t UnionSize(const SetView& a, const SetView& b);
 
 /// Name of the kernel UnionSize would run for (a, b); for parity tests and

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -243,32 +244,50 @@ TEST(SetOpsDispatchTest, PicksTheExpectedKernel) {
   for (VertexId v = 0; v < 400; ++v) large[v] = v;
   DenseBitset sparse_bits(400);
   sparse_bits.Set(1);
-  // A genuinely dense pair: every bit over a multi-thousand-word domain,
-  // so the skip-zero probe has no zero words to skip and the calibrated
-  // chooser must price the straight vector AND cheaper.
   constexpr VertexId kDenseDomain = 1 << 18;
   DenseBitset dense_bits(kDenseDomain);
   for (VertexId v = 0; v < kDenseDomain; ++v) dense_bits.Set(v);
+  // Sorted pairs just under and exactly at kGallopRatio: galloping runs
+  // once large / (small + 1) reaches it.
+  std::vector<VertexId> ratio_small(7);
+  std::vector<VertexId> under_ratio(8 * kGallopRatio - 1);
+  std::vector<VertexId> at_ratio(8 * kGallopRatio);
+  for (VertexId v = 0; v < ratio_small.size(); ++v) ratio_small[v] = 3 * v;
+  for (VertexId v = 0; v < at_ratio.size(); ++v) at_ratio[v] = v;
+  for (VertexId v = 0; v < under_ratio.size(); ++v) under_ratio[v] = v;
 
   const SetView s = SetView::Sorted(small);
   const SetView l = SetView::Sorted(large);
+  const SetView rs = SetView::Sorted(ratio_small);
+  const SetView under = SetView::Sorted(under_ratio);
+  const SetView at = SetView::Sorted(at_ratio);
   const SetView sparse = SetView::Bitmap(sparse_bits, 1);
   const SetView dense = SetView::Bitmap(dense_bits, kDenseDomain);
   EXPECT_STREQ(DispatchedKernelName(s, l), "galloping");
   EXPECT_STREQ(DispatchedKernelName(l, l), "scalar_merge");
-  // Tiny equal-size sets cost a few ns under either sorted kernel; the
-  // calibrated tables may price them either way, but the choice must
-  // stay inside the sorted pair.
-  const std::string tiny = DispatchedKernelName(s, s);
-  EXPECT_TRUE(tiny == "scalar_merge" || tiny == "galloping") << tiny;
+  EXPECT_STREQ(DispatchedKernelName(s, s), "scalar_merge");
+  EXPECT_STREQ(DispatchedKernelName(rs, under), "scalar_merge");
+  EXPECT_STREQ(DispatchedKernelName(under, rs), "scalar_merge");
+  EXPECT_STREQ(DispatchedKernelName(rs, at), "galloping");
+  EXPECT_STREQ(DispatchedKernelName(at, rs), "galloping");
   EXPECT_STREQ(DispatchedKernelName(s, sparse), "probe_bitmap");
   EXPECT_STREQ(DispatchedKernelName(dense, dense), "bitmap_and");
-  // Sparse × dense bitmaps sit on the calibrated bitmap_and/bitmap_probe
-  // boundary — which side wins is the cost table's call, not a contract —
-  // but the choice must stay inside the bitmap pair.
-  const std::string sparse_dense = DispatchedKernelName(sparse, dense);
-  EXPECT_TRUE(sparse_dense == "bitmap_and" || sparse_dense == "bitmap_probe")
-      << sparse_dense;
+  EXPECT_STREQ(DispatchedKernelName(sparse, dense), "bitmap_and");
+  EXPECT_EQ(IntersectionSize(rs, under),
+            IntersectScalarMerge(ratio_small, under_ratio));
+  EXPECT_EQ(IntersectionSize(rs, at),
+            IntersectScalarMerge(ratio_small, at_ratio));
+
+  // One rule for both dispatchers: a sorted pair gallops in the union
+  // exactly when it gallops in the intersection.
+  const std::pair<SetView, SetView> sorted_pairs[] = {
+      {s, l}, {l, l}, {s, s}, {rs, under}, {under, rs}, {rs, at}, {at, rs}};
+  for (const auto& [x, y] : sorted_pairs) {
+    EXPECT_EQ(std::string(DispatchedKernelName(x, y)) == "galloping",
+              std::string(DispatchedUnionKernelName(x, y)) ==
+                  "gallop_complement")
+        << x.Size() << " x " << y.Size();
+  }
 }
 
 }  // namespace
