@@ -136,58 +136,6 @@ BipartiteGraph BipartiteGraph::FromEdgeStream(VertexId num_upper,
   return graph;
 }
 
-BipartiteGraph::CsrParts BipartiteGraph::Csr(Layer layer) const {
-  if (layer == Layer::kUpper) return {upper_offsets_, upper_adj_};
-  return {lower_offsets_, lower_adj_};
-}
-
-namespace {
-
-void ValidateCsrDirection(const char* name,
-                          const std::vector<uint64_t>& offsets,
-                          const std::vector<VertexId>& adj,
-                          VertexId num_vertices, VertexId opposite_size) {
-  CNE_CHECK(offsets.size() == static_cast<size_t>(num_vertices) + 1)
-      << name << " offsets size " << offsets.size() << " for "
-      << num_vertices << " vertices";
-  CNE_CHECK(offsets.front() == 0 && offsets.back() == adj.size())
-      << name << " offsets do not span the adjacency array";
-  for (VertexId v = 0; v < num_vertices; ++v) {
-    CNE_CHECK(offsets[v] <= offsets[v + 1])
-        << name << " offsets not monotone at vertex " << v;
-    for (uint64_t i = offsets[v]; i < offsets[v + 1]; ++i) {
-      CNE_CHECK(adj[i] < opposite_size)
-          << name << " neighbor " << adj[i] << " out of range";
-      CNE_CHECK(i == offsets[v] || adj[i - 1] < adj[i])
-          << name << " adjacency of vertex " << v << " not sorted-unique";
-    }
-  }
-}
-
-}  // namespace
-
-BipartiteGraph BipartiteGraph::FromCsr(VertexId num_upper, VertexId num_lower,
-                                       std::vector<uint64_t> upper_offsets,
-                                       std::vector<VertexId> upper_adj,
-                                       std::vector<uint64_t> lower_offsets,
-                                       std::vector<VertexId> lower_adj) {
-  CNE_CHECK(upper_adj.size() == lower_adj.size())
-      << "CSR directions disagree on edge count: " << upper_adj.size()
-      << " vs " << lower_adj.size();
-  ValidateCsrDirection("upper", upper_offsets, upper_adj, num_upper,
-                       num_lower);
-  ValidateCsrDirection("lower", lower_offsets, lower_adj, num_lower,
-                       num_upper);
-  BipartiteGraph graph;
-  graph.num_upper_ = num_upper;
-  graph.num_lower_ = num_lower;
-  graph.upper_offsets_ = std::move(upper_offsets);
-  graph.upper_adj_ = std::move(upper_adj);
-  graph.lower_offsets_ = std::move(lower_offsets);
-  graph.lower_adj_ = std::move(lower_adj);
-  return graph;
-}
-
 std::span<const VertexId> BipartiteGraph::Neighbors(Layer layer,
                                                     VertexId v) const {
   if (layer == Layer::kUpper) {

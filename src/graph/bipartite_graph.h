@@ -160,29 +160,6 @@ class BipartiteGraph {
   /// Materializes the (sorted) edge list.
   std::vector<Edge> EdgeList() const;
 
-  /// The raw CSR arrays of one direction, borrowed: neighbors of vertex v
-  /// are adj[offsets[v] .. offsets[v+1]). The serialization surface for
-  /// the snapshot store's block-CSR graph section — offsets.size() is
-  /// NumVertices(layer) + 1 and adj.size() is NumEdges().
-  struct CsrParts {
-    std::span<const uint64_t> offsets;
-    std::span<const VertexId> adj;
-  };
-  CsrParts Csr(Layer layer) const;
-
-  /// Rebuilds a graph directly from its two CSR directions, as exported
-  /// by Csr() — the fast restore path of the snapshot store: no edge-list
-  /// rebuild, no re-sort, no cross-direction transpose. Validates shape,
-  /// offset monotonicity, id ranges, per-list sorted-unique order, and
-  /// that both directions carry the same edge count (fatal check on any
-  /// violation: a snapshot that passed its CRC but fails here is corrupt
-  /// in a way checksums cannot see).
-  static BipartiteGraph FromCsr(VertexId num_upper, VertexId num_lower,
-                                std::vector<uint64_t> upper_offsets,
-                                std::vector<VertexId> upper_adj,
-                                std::vector<uint64_t> lower_offsets,
-                                std::vector<VertexId> lower_adj);
-
   /// Approximate resident memory in bytes (CSR arrays only).
   uint64_t MemoryBytes() const;
 

@@ -92,24 +92,6 @@ SetKernel ChooseIntersectKernel(const SetView& a, const SetView& b) {
 
 }  // namespace
 
-DenseBitset DenseBitset::FromWords(std::vector<uint64_t> words,
-                                   VertexId num_bits) {
-  CNE_CHECK(words.size() == (static_cast<size_t>(num_bits) + 63) / 64)
-      << "word count " << words.size() << " does not match " << num_bits
-      << " bits";
-  if (num_bits % 64 != 0 && !words.empty()) {
-    const uint64_t tail_mask = (uint64_t{1} << (num_bits % 64)) - 1;
-    CNE_CHECK((words.back() & ~tail_mask) == 0)
-        << "bits set beyond the domain in the trailing word";
-  }
-  DenseBitset bits;
-  // Copy into the 64-byte-aligned storage; snapshot records deserialize
-  // into a plain vector, which cannot be moved across allocators.
-  bits.words_.assign(words.begin(), words.end());
-  bits.num_bits_ = num_bits;
-  return bits;
-}
-
 DenseBitset DenseBitset::Uninitialized(VertexId num_bits) {
   DenseBitset bits;
   bits.words_.resize((static_cast<size_t>(num_bits) + 63) / 64);

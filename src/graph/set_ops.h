@@ -115,14 +115,6 @@ class DenseBitset {
       : words_((static_cast<size_t>(num_bits) + 63) / 64, 0),
         num_bits_(num_bits) {}
 
-  /// Rebuilds a bitset from its packed words — the snapshot-restore path
-  /// for bitmap-mode noisy views. `words` must be exactly
-  /// (num_bits + 63) / 64 long with every bit at or beyond num_bits zero
-  /// (fatal check otherwise: trailing garbage would corrupt popcounts).
-  /// Copies into aligned storage; serialized snapshots carry plain words.
-  static DenseBitset FromWords(std::vector<uint64_t> words,
-                               VertexId num_bits);
-
   /// A bitset over `num_bits` ids whose words are allocated but left
   /// unwritten, for a producer that then writes every word through
   /// MutableWords(). Separates allocating the storage from the first

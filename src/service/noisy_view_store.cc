@@ -1,9 +1,11 @@
 #include "service/noisy_view_store.h"
 
+#include <algorithm>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "obs/trace.h"
-#include "store/snapshot_format.h"
 #include "util/cpu_features.h"
 #include "util/logging.h"
 
@@ -92,10 +94,11 @@ void NoisyViewStore::MaterializeAuthorized(ThreadPool& pool) {
         build_histogram_->Record(dt);
         OfferBuildExemplar(vertex, *view, dt);
       }
+      const uint64_t digest = digests_ != nullptr ? ViewDigest(*view) : 0;
       std::lock_guard<std::mutex> lock(slow_mutex_);
       if (table.state[vertex.id].load(std::memory_order_acquire) !=
           kMaterialized) {
-        Publish(vertex, std::move(view));
+        Publish(vertex, std::move(view), digest);
       }
     }
   });
@@ -158,7 +161,8 @@ const NoisyNeighborSet* NoisyViewStore::Get(LayeredVertex vertex) {
     build_histogram_->Record(dt);
     OfferBuildExemplar(vertex, *built, dt);
   }
-  Publish(vertex, std::move(built));
+  const uint64_t digest = digests_ != nullptr ? ViewDigest(*built) : 0;
+  Publish(vertex, std::move(built), digest);
   return table.view[vertex.id].load(std::memory_order_acquire);
 }
 
@@ -181,7 +185,14 @@ NoisyViewStore::Stats NoisyViewStore::stats() const {
   return stats;
 }
 
+void NoisyViewStore::set_digests(Digests* digests) {
+  CNE_CHECK(releases_.load(std::memory_order_relaxed) == 0)
+      << "digests must be kept from the first release on";
+  digests_ = digests;
+}
+
 void NoisyViewStore::Save(ByteWriter& out) const {
+  CNE_CHECK(digests_ != nullptr) << "Save needs the store's view digests";
   ViewsSection views;
   views.epsilon = epsilon_;
   views.lookups = lookups_.load(std::memory_order_relaxed);
@@ -189,106 +200,109 @@ void NoisyViewStore::Save(ByteWriter& out) const {
   views.cache_hits = cache_hits_.load(std::memory_order_relaxed);
   views.rejections = rejections_.load(std::memory_order_relaxed);
   views.uploaded_edges = uploaded_edges_.load(std::memory_order_relaxed);
-  for (Layer layer : {Layer::kUpper, Layer::kLower}) {
-    const LayerTable& table = Table(layer);
-    for (VertexId id = 0; id < table.state.size(); ++id) {
-      const uint8_t state =
-          table.state[id].load(std::memory_order_acquire);
-      if (state == kUntouched) continue;
-      ViewRecord record;
-      record.packed_vertex = PackLayeredVertex({layer, id});
-      record.state = state == kMaterialized
-                         ? ViewRecord::kStateMaterialized
-                         : ViewRecord::kStateAuthorizedPending;
-      if (state == kMaterialized) {
-        const NoisyNeighborSet* view =
-            table.view[id].load(std::memory_order_acquire);
-        CNE_CHECK(view != nullptr) << "materialized state without a view";
-        record.rng_stream = record.packed_vertex;
-        record.epsilon = epsilon_;
-        record.flip_probability = view->flip_probability();
-        record.domain = view->DomainSize();
-        record.bitmap = view->IsBitmap();
-        record.size = view->Size();
-        if (view->IsBitmap()) {
-          const auto words = view->View().bitmap().Words();
-          record.words.assign(words.begin(), words.end());
-        } else {
-          record.members = view->SortedMembers();
-        }
-      }
-      views.entries.push_back(std::move(record));
-    }
+  // The digest map holds exactly the materialized views, so a checkpoint
+  // costs O(views) rather than a scan of every vertex of the graph.
+  views.entries.reserve(digests_->size() + pending_.size());
+  for (const auto& [packed, digest] : *digests_) {
+    const NoisyNeighborSet& view = View(UnpackLayeredVertex(packed));
+    ViewRecord record;
+    record.packed_vertex = packed;
+    record.state = ViewRecord::kStateMaterialized;
+    record.bitmap = view.IsBitmap();
+    record.size = view.Size();
+    record.digest = digest;
+    views.entries.push_back(record);
   }
+  for (const LayeredVertex vertex : pending_) {
+    // A lazy Get may have built a vertex that is still listed here.
+    if (Table(vertex.layer).state[vertex.id].load(
+            std::memory_order_acquire) != kAuthorizedPending) {
+      continue;
+    }
+    ViewRecord record;
+    record.packed_vertex = PackLayeredVertex(vertex);
+    record.state = ViewRecord::kStateAuthorizedPending;
+    views.entries.push_back(record);
+  }
+  std::sort(views.entries.begin(), views.entries.end(),
+            [](const ViewRecord& a, const ViewRecord& b) {
+              return a.packed_vertex < b.packed_vertex;
+            });
   WriteViewsSection(views, out);
 }
 
-void NoisyViewStore::Restore(ByteReader& in) {
+void NoisyViewStore::QueueRestored(uint64_t packed_vertex,
+                                   const char* source) {
+  if (packed_vertex >> 32 > static_cast<uint64_t>(Layer::kLower) ||
+      (packed_vertex & 0xffffffffULL) >=
+          Table(static_cast<Layer>(packed_vertex >> 32)).state.size()) {
+    throw std::runtime_error(std::string(source) + ": vertex key " +
+                             std::to_string(packed_vertex) +
+                             " is outside this graph");
+  }
+  const LayeredVertex vertex = UnpackLayeredVertex(packed_vertex);
+  if (Contains(vertex)) {
+    throw std::runtime_error(std::string(source) + ": " +
+                             LayerName(vertex.layer) + " vertex " +
+                             std::to_string(vertex.id) +
+                             " is authorized twice");
+  }
+  pending_.push_back(vertex);
+  Table(vertex.layer).state[vertex.id].store(kAuthorizedPending,
+                                             std::memory_order_release);
+}
+
+std::vector<ViewRecord> NoisyViewStore::Restore(ByteReader& in) {
   CNE_CHECK(lookups_.load(std::memory_order_relaxed) == 0 &&
             releases_.load(std::memory_order_relaxed) == 0)
       << "view restore requires a fresh store";
   ViewsSection views = ReadViewsSection(in);
-  CNE_CHECK(views.epsilon == epsilon_)
-      << "snapshot views were released at epsilon " << views.epsilon
-      << ", store expects " << epsilon_;
-  for (ViewRecord& record : views.entries) {
-    const LayeredVertex vertex = UnpackLayeredVertex(record.packed_vertex);
-    LayerTable& table = Table(vertex.layer);
-    CNE_CHECK(vertex.id < table.state.size())
-        << "snapshot vertex out of range for this graph";
-    CNE_CHECK(table.state[vertex.id].load(std::memory_order_relaxed) ==
-              kUntouched)
-        << "duplicate snapshot entry for " << LayerName(vertex.layer)
-        << " vertex " << vertex.id;
-    if (record.state == ViewRecord::kStateAuthorizedPending) {
-      pending_.push_back(vertex);
-      table.state[vertex.id].store(kAuthorizedPending,
-                                   std::memory_order_release);
-      continue;
-    }
-    CNE_CHECK(record.rng_stream == record.packed_vertex)
-        << "view stream id does not match its vertex";
-    CNE_CHECK(record.domain ==
-              graph_.NumVertices(Opposite(vertex.layer)))
-        << "view domain does not match this graph";
-    auto view = std::make_unique<NoisyNeighborSet>(
-        record.bitmap
-            ? NoisyNeighborSet(
-                  DenseBitset::FromWords(std::move(record.words),
-                                         record.domain),
-                  record.flip_probability)
-            : NoisyNeighborSet::FromSortedUnique(std::move(record.members),
-                                                 record.domain,
-                                                 record.flip_probability));
-    CNE_CHECK(view->Size() == record.size)
-        << "restored view size disagrees with its record";
-    table.view[vertex.id].store(view.release(), std::memory_order_release);
-    table.state[vertex.id].store(kMaterialized, std::memory_order_release);
+  if (views.epsilon != epsilon_) {
+    throw std::runtime_error(
+        "snapshot views were released at epsilon " +
+        std::to_string(views.epsilon) + ", this store releases at " +
+        std::to_string(epsilon_));
   }
-  // Counters come from the snapshot, not from the installs above: restore
-  // is not a release, so nothing may be re-counted as uploaded.
+  for (const ViewRecord& record : views.entries) {
+    QueueRestored(record.packed_vertex, "snapshot views section");
+  }
+  // Counters come from the snapshot: restoring is not a release, so
+  // nothing may be re-counted.
   lookups_.store(views.lookups, std::memory_order_relaxed);
   releases_.store(views.releases, std::memory_order_relaxed);
   cache_hits_.store(views.cache_hits, std::memory_order_relaxed);
   rejections_.store(views.rejections, std::memory_order_relaxed);
   uploaded_edges_.store(views.uploaded_edges, std::memory_order_relaxed);
+  return std::move(views.entries);
 }
 
-void NoisyViewStore::RestoreAuthorized(LayeredVertex vertex) {
-  LayerTable& table = Table(vertex.layer);
-  CNE_CHECK(vertex.id < table.state.size())
-      << "WAL vertex out of range for this graph";
-  CNE_CHECK(table.state[vertex.id].load(std::memory_order_relaxed) ==
-            kUntouched)
-      << "WAL re-authorizes " << LayerName(vertex.layer) << " vertex "
-      << vertex.id << " — corrupt recovery input";
+void NoisyViewStore::VerifyRestored(std::span<const ViewRecord> records) {
+  CNE_CHECK(digests_ != nullptr) << "verification needs the view digests";
+  for (const ViewRecord& record : records) {
+    if (record.state != ViewRecord::kStateMaterialized) continue;
+    const LayeredVertex vertex = UnpackLayeredVertex(record.packed_vertex);
+    const NoisyNeighborSet& view = View(vertex);
+    if (view.IsBitmap() != record.bitmap || view.Size() != record.size ||
+        digests_->at(record.packed_vertex) != record.digest) {
+      throw std::runtime_error(
+          std::string("regenerated view of ") + LayerName(vertex.layer) +
+          " vertex " + std::to_string(vertex.id) +
+          " differs from the one released before the restart (size " +
+          std::to_string(view.Size()) + " vs " +
+          std::to_string(record.size) +
+          "): a different graph, or a sampler that drew other bytes; "
+          "serving it would release the vertex a second time");
+    }
+    uploaded_edges_.fetch_sub(record.size, std::memory_order_relaxed);
+  }
+}
+
+void NoisyViewStore::RestoreAuthorized(uint64_t packed_vertex) {
+  QueueRestored(packed_vertex, "WAL view authorization");
   // Mirror what the original Authorize counted, so cumulative stats keep
   // their meaning across restarts.
   lookups_.fetch_add(1, std::memory_order_relaxed);
   releases_.fetch_add(1, std::memory_order_relaxed);
-  pending_.push_back(vertex);
-  table.state[vertex.id].store(kAuthorizedPending,
-                               std::memory_order_release);
 }
 
 void NoisyViewStore::RevokeAuthorized(LayeredVertex vertex) {
@@ -325,8 +339,10 @@ std::unique_ptr<NoisyNeighborSet> NoisyViewStore::Generate(
 }
 
 void NoisyViewStore::Publish(LayeredVertex vertex,
-                             std::unique_ptr<NoisyNeighborSet> view) {
+                             std::unique_ptr<NoisyNeighborSet> view,
+                             uint64_t digest) {
   uploaded_edges_.fetch_add(view->Size(), std::memory_order_relaxed);
+  if (digests_ != nullptr) digests_->emplace(PackLayeredVertex(vertex), digest);
   LayerTable& table = Table(vertex.layer);
   table.view[vertex.id].store(view.release(), std::memory_order_release);
   table.state[vertex.id].store(kMaterialized, std::memory_order_release);

@@ -31,8 +31,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "graph/bipartite_graph.h"
@@ -40,6 +42,7 @@
 #include "ldp/comm_model.h"
 #include "ldp/randomized_response.h"
 #include "obs/metrics.h"
+#include "store/snapshot_format.h"
 #include "util/binary_io.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -160,31 +163,55 @@ class NoisyViewStore {
 
   // ---- persistence hooks (store/snapshot_format.h) ----
   //
-  // A vertex's view is *public the moment it is released*: regenerating
-  // it with fresh randomness after a restart would be a second release —
-  // a privacy violation the ledger can no longer see. Save/Restore move
-  // every touched vertex through a snapshot's views section in its native
-  // sorted-or-bitmap representation, together with its ε and the RNG
-  // stream it was drawn from, so a restored store serves byte-identical
-  // views without drawing a single new bit. Neither may race with
+  // A vertex's view is *public the moment it is released*: drawing it
+  // again with fresh randomness after a restart would be a second
+  // release — a privacy violation the ledger can no longer see. A
+  // snapshot therefore records which vertices released, with each view's
+  // representation, size and digest, but never its bytes. Recovery
+  // regenerates every recorded view from the vertex's own substream,
+  // which replays the release the world already saw rather than making a
+  // second one, and VerifyRestored proves that it did: a regenerated view
+  // that differs from its record is refused. None of these may race with
   // concurrent store access — persistence runs between submissions.
 
-  /// Writes a views section: the store's ε, its cumulative stats, and
-  /// every authorized or materialized vertex in (layer, id) order.
+  /// Packed vertex → ViewDigest of each materialized view, in (layer, id)
+  /// order. Owned by the persistence state; a store without persistence
+  /// keeps none.
+  using Digests = std::map<uint64_t, uint64_t>;
+
+  /// Makes the store record in `digests` the ViewDigest of every view it
+  /// publishes, computed once by the thread that built the view, while it
+  /// is still in cache. Set before the first release; Save and
+  /// VerifyRestored require it.
+  void set_digests(Digests* digests);
+
+  /// Writes a views section: the store's ε, its cumulative stats, and one
+  /// record per authorized or materialized vertex in (layer, id) order.
   void Save(ByteWriter& out) const;
 
   /// Restores a Save()d views section into this store, which must be
-  /// freshly constructed over the same graph with the same ε. Installs
-  /// materialized views verbatim (no RNG draws, no ledger charges — the
-  /// ledger is restored separately) and re-queues authorized-but-unbuilt
-  /// vertices for materialization.
-  void Restore(ByteReader& in);
+  /// freshly constructed over the same graph with the same ε: installs
+  /// the cumulative counters and queues every recorded vertex, pending or
+  /// materialized, for regeneration by the next MaterializeAuthorized (no
+  /// ledger charges — the ledger is restored separately). Returns the
+  /// records for VerifyRestored. Throws std::runtime_error on a malformed
+  /// section, another ε, a vertex outside this graph, or a duplicate.
+  std::vector<ViewRecord> Restore(ByteReader& in);
 
-  /// Marks `vertex` authorized without charging the ledger — the WAL
-  /// replay path, where the ε charge replays as its own record. The view
-  /// itself needs no payload: it regenerates byte-identically from the
-  /// vertex's substream on the next materialization pass.
-  void RestoreAuthorized(LayeredVertex vertex);
+  /// Checks, once MaterializeAuthorized has regenerated them, every
+  /// materialized record of `records` against its view — representation,
+  /// size and ViewDigest — and throws std::runtime_error naming the first
+  /// vertex that differs. The regeneration replayed releases the restored
+  /// counters already count, so their uploaded edges are taken back out.
+  void VerifyRestored(std::span<const ViewRecord> records);
+
+  /// Marks `vertex` (a PackLayeredVertex key) authorized without charging
+  /// the ledger — the WAL replay path, where the ε charge replays as its
+  /// own record. The view itself needs no payload: it regenerates
+  /// byte-identically from the vertex's substream on the next
+  /// materialization pass. Throws std::runtime_error on a vertex outside
+  /// this graph or one already authorized.
+  void RestoreAuthorized(uint64_t packed_vertex);
 
   /// Rolls back an Authorize whose journal record never became durable
   /// (the query service's unsealed-submit recovery): `vertex` must still
@@ -217,14 +244,21 @@ class NoisyViewStore {
     return tables_[static_cast<size_t>(layer)];
   }
 
+  /// Marks a vertex key read from disk authorized-pending, queued for the
+  /// next materialization pass. Throws std::runtime_error (prefixed with
+  /// `source`) when the key names no vertex of this graph or one already
+  /// authorized or materialized.
+  void QueueRestored(uint64_t packed_vertex, const char* source);
+
   /// Generates vertex's noisy view from its dedicated substream, into
   /// `storage` from AllocateRrStorage when given.
   std::unique_ptr<NoisyNeighborSet> Generate(LayeredVertex vertex,
                                              DenseBitset storage = {}) const;
 
   /// Publishes a freshly built view (slow_mutex_ must be held) and
-  /// records its upload.
-  void Publish(LayeredVertex vertex, std::unique_ptr<NoisyNeighborSet> view);
+  /// records its upload and, when digests are kept, its `digest`.
+  void Publish(LayeredVertex vertex, std::unique_ptr<NoisyNeighborSet> view,
+               uint64_t digest);
 
   /// Offers one clocked build to the exemplar reservoir (no-op when none
   /// is installed or the build is faster than the admission floor).
@@ -243,6 +277,7 @@ class NoisyViewStore {
   std::mutex slow_mutex_;
   std::vector<LayeredVertex> pending_;  ///< authorized, not yet built
 
+  Digests* digests_ = nullptr;  ///< null = no persistence
   obs::LatencyHistogram* build_histogram_ = nullptr;  ///< null = off
   obs::ExemplarReservoir* build_exemplars_ = nullptr;  ///< null = off
   uint64_t build_submit_ = 0;  ///< submit id stamped on build exemplars

@@ -54,15 +54,27 @@ WalRecord MakeAuthorized(LayeredVertex vertex) {
   return record;
 }
 
-// Recovery regenerates authorized-but-unbuilt views from their RNG
-// substream. Under another sampler that would publish a second, different
-// release of vertices whose answers already went out.
-void RequireSameSampler(const std::string& path, uint32_t stamped) {
-  if (stamped == kRrSamplerVersion) return;
+// Recovery regenerates views from their RNG substream. Under another
+// sampler, or another rounding of the bitmap path's threshold (it comes
+// from std::exp, which another libm may round differently), that would
+// publish a second, different release of vertices whose answers already
+// went out.
+void RequireSameSampler(const std::string& path, uint32_t version,
+                        uint64_t threshold, uint64_t expected_threshold) {
+  std::string stamp;
+  if (version != kRrSamplerVersion) {
+    stamp = "by RR sampler version " + std::to_string(version) +
+            ", but this binary samples with version " +
+            std::to_string(kRrSamplerVersion);
+  } else if (threshold != expected_threshold) {
+    stamp = "with RR threshold " + std::to_string(threshold) +
+            ", but this binary computes threshold " +
+            std::to_string(expected_threshold);
+  } else {
+    return;
+  }
   throw std::runtime_error(
-      path + ": state was released by RR sampler version " +
-      std::to_string(stamped) + ", but this binary samples with version " +
-      std::to_string(kRrSamplerVersion) +
+      path + ": state was released " + stamp +
       "; regenerating its authorized views would release them again");
 }
 
@@ -105,6 +117,11 @@ struct QueryService::Persistence {
   int lock_fd = -1;    ///< flock on <dir>/lock; -1 until acquired
   std::unique_ptr<BudgetWal> wal;
   double last_checkpoint_seconds = 0.0;
+  /// BernoulliThreshold(FlipProbability(ε1)) as this binary computes it:
+  /// the stamp every snapshot config and WAL header carries.
+  uint64_t rr_threshold = 0;
+  /// ViewDigest of every materialized view (NoisyViewStore::set_digests).
+  NoisyViewStore::Digests digests;
 
   ~Persistence() {
     if (lock_fd >= 0) ::close(lock_fd);  // releases the flock
@@ -195,11 +212,14 @@ SnapshotConfig QueryService::CurrentConfig() const {
   config.num_upper = graph_.NumUpper();
   config.num_lower = graph_.NumLower();
   config.num_edges = graph_.NumEdges();
+  config.rr_threshold = persist_->rr_threshold;
   return config;
 }
 
 void QueryService::OpenPersistent() {
   persist_ = std::make_unique<Persistence>();
+  persist_->rr_threshold = BernoulliThreshold(FlipProbability(plan_.epsilon1));
+  store_.set_digests(&persist_->digests);
   std::filesystem::create_directories(options_.snapshot_dir);
   const std::filesystem::path dir(options_.snapshot_dir);
   persist_->snapshot_path = (dir / kSnapshotFileName).string();
@@ -222,11 +242,13 @@ void QueryService::OpenPersistent() {
   }
 
   Timer timer;
+  std::vector<ViewRecord> checkpointed_views;
   if (FileExists(persist_->snapshot_path)) {
     const SnapshotReader reader(persist_->snapshot_path);
     ByteReader config_section = reader.Section(SectionId::kConfig);
     const SnapshotConfig saved = ReadConfigSection(config_section);
-    RequireSameSampler(persist_->snapshot_path, saved.rr_sampler_version);
+    RequireSameSampler(persist_->snapshot_path, saved.rr_sampler_version,
+                       saved.rr_threshold, persist_->rr_threshold);
     const SnapshotConfig expected = CurrentConfig();
     // Restoring under different options would silently re-randomize
     // every view (different seed / ε) or mis-account budget; refuse.
@@ -247,7 +269,7 @@ void QueryService::OpenPersistent() {
                                "graph");
     }
     ByteReader views_section = reader.Section(SectionId::kViews);
-    store_.Restore(views_section);
+    checkpointed_views = store_.Restore(views_section);
     ByteReader ledger_section = reader.Section(SectionId::kLedger);
     ledger_.Deserialize(ledger_section);
     next_noise_stream_ = saved.next_noise_stream;
@@ -258,7 +280,8 @@ void QueryService::OpenPersistent() {
   if (FileExists(persist_->wal_path)) {
     const WalReplay replay = BudgetWal::Read(persist_->wal_path);
     if (replay.epoch == persist_->epoch) {
-      RequireSameSampler(persist_->wal_path, replay.rr_sampler_version);
+      RequireSameSampler(persist_->wal_path, replay.rr_sampler_version,
+                         replay.rr_threshold, persist_->rr_threshold);
       for (size_t i = 0; i < replay.committed; ++i) {
         const WalRecord& record = replay.records[i];
         switch (record.type) {
@@ -267,7 +290,7 @@ void QueryService::OpenPersistent() {
                            record.value);
             break;
           case WalRecordType::kViewAuthorized:
-            store_.RestoreAuthorized(UnpackLayeredVertex(record.vertex));
+            store_.RestoreAuthorized(record.vertex);
             break;
           case WalRecordType::kRaiseBudget:
             ledger_.RaiseLifetimeBudget(record.value);
@@ -288,12 +311,14 @@ void QueryService::OpenPersistent() {
         BudgetWal::Rewrite(
             persist_->wal_path, persist_->epoch,
             std::span<const WalRecord>(replay.records.data(),
-                                       replay.committed));
+                                       replay.committed),
+            persist_->rr_threshold);
       }
     } else if (replay.epoch < persist_->epoch) {
       // A crash between snapshot rename and WAL reset: everything in this
       // log is already inside the snapshot. Start the new epoch cleanly.
-      BudgetWal::Reset(persist_->wal_path, persist_->epoch);
+      BudgetWal::Reset(persist_->wal_path, persist_->epoch,
+                       persist_->rr_threshold);
     } else {
       throw std::runtime_error(persist_->wal_path +
                                ": WAL epoch is ahead of the snapshot — "
@@ -308,8 +333,14 @@ void QueryService::OpenPersistent() {
                              ": WAL is missing next to the snapshot — "
                              "post-checkpoint budget charges were lost");
   } else {
-    BudgetWal::Reset(persist_->wal_path, persist_->epoch);
+    BudgetWal::Reset(persist_->wal_path, persist_->epoch,
+                     persist_->rr_threshold);
   }
+  // One recovery path: every recorded and every WAL-authorized view is
+  // regenerated from its own substream, then each checkpointed one must
+  // match the release its record describes before anything is served.
+  store_.MaterializeAuthorized(pool_);
+  store_.VerifyRestored(checkpointed_views);
   recovery_.snapshot_load_seconds = timer.Seconds();
   persist_->wal = std::make_unique<BudgetWal>(persist_->wal_path);
 }
@@ -341,8 +372,6 @@ double QueryService::Checkpoint() {
       WriteConfigSection(CurrentConfig(),
                          writer.BeginSection(SectionId::kConfig));
       writer.EndSection();
-      WriteGraphSection(graph_, writer.BeginSection(SectionId::kGraph));
-      writer.EndSection();
       store_.Save(writer.BeginSection(SectionId::kViews));
       writer.EndSection();
       ledger_.Serialize(writer.BeginSection(SectionId::kLedger));
@@ -367,7 +396,7 @@ double QueryService::Checkpoint() {
   // reset the log under the new epoch. A crash between the two steps
   // leaves a stale-epoch WAL that recovery recognizes and discards.
   try {
-    BudgetWal::Reset(persist_->wal_path, next_epoch);
+    BudgetWal::Reset(persist_->wal_path, next_epoch, persist_->rr_threshold);
     persist_->wal = std::make_unique<BudgetWal>(persist_->wal_path);
   } catch (const std::exception& e) {
     // The snapshot committed but the journal could not restart. Keeping

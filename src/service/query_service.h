@@ -120,11 +120,12 @@ struct ServiceOptions {
   /// log, store/). Empty disables persistence. When set, the service
   /// recovers any existing state at construction (snapshot load + WAL
   /// replay — throws std::runtime_error if the on-disk state was produced
-  /// under different options or a different graph), journals every budget
-  /// charge and view authorization ahead of acting on it, and persists
-  /// full state on Checkpoint(). A killed service reconstructed over the
-  /// same directory restarts byte-identical: same answers, same residual
-  /// budgets, zero re-randomized views.
+  /// under different options or a different graph, or when a view it
+  /// regenerates differs from the recorded release), journals every budget
+  /// charge and view authorization ahead of acting on it, and records the
+  /// released-view set and the ledger on Checkpoint(). A killed service
+  /// reconstructed over the same directory restarts byte-identical: same
+  /// answers, same residual budgets, zero re-randomized views.
   std::string snapshot_dir;
 
   /// Snapshot-commit attempts per Checkpoint() (>= 1). A transient IO
@@ -149,7 +150,7 @@ struct ServiceOptions {
 /// What recovery found when a persistent service opened its directory.
 struct RecoveryStats {
   bool snapshot_loaded = false;
-  double snapshot_load_seconds = 0.0;  ///< snapshot read + WAL replay
+  double snapshot_load_seconds = 0.0;  ///< read, WAL replay, regeneration
   uint64_t wal_replay_records = 0;     ///< committed records re-applied
   /// Complete records after the last commit barrier — an admission batch
   /// whose fsync never finished; the service never acted on them.
@@ -245,8 +246,9 @@ class QueryService {
   /// concurrent Submit.
   void RaiseLifetimeBudget(double new_budget);
 
-  /// Writes a crash-consistent snapshot of the full service state (graph,
-  /// views, ledger, substream counter) to the snapshot directory with
+  /// Writes a crash-consistent snapshot of the service state that cannot
+  /// be recomputed (config and substream counter, one size-and-digest
+  /// record per released view, the ledger) to the snapshot directory with
   /// atomic rename-on-commit, then starts a fresh WAL epoch. Requires
   /// persistence; must not race with a concurrent Submit. Returns the
   /// checkpoint duration in seconds.
@@ -314,7 +316,8 @@ class QueryService {
   void FinalizeReport(ServiceReport& report, double seconds);
 
   /// Opens the snapshot directory: recovers snapshot + WAL state when
-  /// present, then leaves a WAL handle ready for appending.
+  /// present, regenerates and verifies every released view, then leaves a
+  /// WAL handle ready for appending.
   void OpenPersistent();
 
   /// The service configuration as a snapshot config section.

@@ -20,9 +20,10 @@ namespace {
 
 // The file literally starts with the ASCII bytes "CNEWAL01".
 constexpr uint64_t kWalMagic = 0x31304C4157454E43ULL;
-// Version 2 appended the RR sampler version to the header.
-constexpr uint32_t kWalVersion = 2;
-constexpr size_t kHeaderBytes = 8 + 4 + 8 + 4;
+// Version 2 appended the RR sampler version to the header, version 3 the
+// RR threshold.
+constexpr uint32_t kWalVersion = 3;
+constexpr size_t kHeaderBytes = 8 + 4 + 8 + 4 + 8;
 constexpr size_t kRecordBytes = 1 + 8 + 8 + 4;
 
 bool IsBarrier(WalRecordType type) {
@@ -48,11 +49,12 @@ void EncodeRecord(const WalRecord& record, ByteWriter& out) {
   out.U32(crc);
 }
 
-void EncodeHeader(uint64_t epoch, ByteWriter& out) {
+void EncodeHeader(uint64_t epoch, uint64_t rr_threshold, ByteWriter& out) {
   out.U64(kWalMagic);
   out.U32(kWalVersion);
   out.U64(epoch);
   out.U32(kRrSamplerVersion);
+  out.U64(rr_threshold);
 }
 
 void ThrowErrno(const std::string& what, const std::string& path) {
@@ -61,14 +63,16 @@ void ThrowErrno(const std::string& what, const std::string& path) {
 
 }  // namespace
 
-void BudgetWal::Reset(const std::string& path, uint64_t epoch) {
-  Rewrite(path, epoch, {});
+void BudgetWal::Reset(const std::string& path, uint64_t epoch,
+                      uint64_t rr_threshold) {
+  Rewrite(path, epoch, {}, rr_threshold);
 }
 
 void BudgetWal::Rewrite(const std::string& path, uint64_t epoch,
-                        std::span<const WalRecord> records) {
+                        std::span<const WalRecord> records,
+                        uint64_t rr_threshold) {
   ByteWriter out;
-  EncodeHeader(epoch, out);
+  EncodeHeader(epoch, rr_threshold, out);
   for (const WalRecord& record : records) EncodeRecord(record, out);
   const std::span<const uint8_t> parts[] = {out.data()};
   // "walreset", not "wal": the append path's wal.append/wal.fsync sites
@@ -80,7 +84,10 @@ void BudgetWal::Rewrite(const std::string& path, uint64_t epoch,
 WalReplay BudgetWal::Read(const std::string& path) {
   // Sites wal.open / wal.read (err, short, corrupt — see failpoint.h).
   const std::vector<uint8_t> bytes = ReadFileBytes(path, "wal");
-  if (bytes.size() < kHeaderBytes) {
+  // Magic and version first: an older format has a shorter header, and
+  // deserves the version diagnosis rather than a length one.
+  constexpr size_t kVersionedBytes = 8 + 4;
+  if (bytes.size() < kVersionedBytes) {
     throw std::runtime_error(path + ": WAL shorter than its header");
   }
   ByteReader in(bytes);
@@ -90,11 +97,17 @@ WalReplay BudgetWal::Read(const std::string& path) {
   const uint32_t version = in.U32();
   if (version != kWalVersion) {
     throw std::runtime_error(path + ": unsupported WAL version " +
-                             std::to_string(version));
+                             std::to_string(version) +
+                             "; this binary reads version " +
+                             std::to_string(kWalVersion));
+  }
+  if (bytes.size() < kHeaderBytes) {
+    throw std::runtime_error(path + ": WAL shorter than its header");
   }
   WalReplay replay;
   replay.epoch = in.U64();
   replay.rr_sampler_version = in.U32();
+  replay.rr_threshold = in.U64();
   while (in.remaining() >= kRecordBytes) {
     const auto body = in.Borrow(kRecordBytes - 4);
     const uint32_t crc = in.U32();

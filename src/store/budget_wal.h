@@ -23,8 +23,11 @@
 // record kinds that are individually fsynced).
 //
 // The file starts with magic "CNEWAL01" | version u32 | epoch u64 |
-// rr_sampler_version u32 (format 2). The sampler version names the RR
-// sampler that recovery must regenerate the log's authorized views with. The
+// rr_sampler_version u32 (format 2) | rr_threshold u64 (format 3). The
+// sampler version and the threshold t = BernoulliThreshold(
+// FlipProbability(ε1)) name the sampler, and the integer its bitmap path
+// compares against, that recovery must regenerate the log's authorized
+// views with — views that have no snapshot digest yet. The
 // epoch ties the log to the snapshot it extends (snapshot_format.h): a
 // checkpoint renames the new snapshot into place and then resets the WAL
 // to the new epoch; a crash between the two steps leaves a stale-epoch
@@ -74,6 +77,8 @@ struct WalReplay {
   uint64_t epoch = 0;
   /// kRrSamplerVersion of the binary that wrote the header.
   uint32_t rr_sampler_version = 0;
+  /// The RR threshold the header was stamped with.
+  uint64_t rr_threshold = 0;
   /// All complete, CRC-valid records, in append order.
   std::vector<WalRecord> records;
   /// Records up to and including the last commit barrier — the prefix
@@ -92,14 +97,18 @@ struct WalReplay {
 class BudgetWal {
  public:
   /// Atomically creates (or replaces) the WAL at `path` holding only a
-  /// fresh header with `epoch` (stamped with this binary's
-  /// kRrSamplerVersion, as is every header written).
-  static void Reset(const std::string& path, uint64_t epoch);
+  /// fresh header with `epoch` and `rr_threshold`, the RR threshold of
+  /// the views the log will authorize (0 for a log that authorizes none).
+  /// Every header written is also stamped with this binary's
+  /// kRrSamplerVersion.
+  static void Reset(const std::string& path, uint64_t epoch,
+                    uint64_t rr_threshold = 0);
 
   /// Atomically rewrites the WAL to hold exactly `records` — recovery
   /// compaction: drops a torn tail and uncommitted records for good.
   static void Rewrite(const std::string& path, uint64_t epoch,
-                      std::span<const WalRecord> records);
+                      std::span<const WalRecord> records,
+                      uint64_t rr_threshold = 0);
 
   /// Parses the WAL at `path`. Throws std::runtime_error only on an
   /// unreadable file, bad magic, or unsupported version; a torn tail is a

@@ -1,9 +1,7 @@
 #include "store/snapshot_format.h"
 
-#include <algorithm>
-#include <limits>
+#include <span>
 #include <stdexcept>
-#include <utility>
 
 #include "util/crc32.h"
 #include "util/logging.h"
@@ -105,8 +103,9 @@ SnapshotReader::SnapshotReader(const std::string& path)
   if (in.U64() != kSnapshotMagic) Fail(path_, "bad snapshot magic");
   version_ = in.U32();
   if (version_ != kSnapshotVersion) {
-    Fail(path_,
-         "unsupported snapshot version " + std::to_string(version_));
+    Fail(path_, "unsupported snapshot version " + std::to_string(version_) +
+                    "; this binary reads version " +
+                    std::to_string(kSnapshotVersion));
   }
   epoch_ = in.U64();
   const uint32_t count = in.U32();
@@ -167,6 +166,7 @@ void WriteConfigSection(const SnapshotConfig& config, ByteWriter& out) {
   out.U32(config.num_lower);
   out.U64(config.num_edges);
   out.U32(config.rr_sampler_version);
+  out.U64(config.rr_threshold);
 }
 
 SnapshotConfig ReadConfigSection(ByteReader& in) {
@@ -183,122 +183,8 @@ SnapshotConfig ReadConfigSection(ByteReader& in) {
   config.num_lower = in.U32();
   config.num_edges = in.U64();
   config.rr_sampler_version = in.U32();
+  config.rr_threshold = in.U64();
   return config;
-}
-
-namespace {
-
-void WriteCsrDirection(BipartiteGraph::CsrParts csr, uint32_t block_edges,
-                       ByteWriter& out) {
-  for (uint64_t offset : csr.offsets) out.U64(offset);
-  const uint64_t num_blocks = CsrBlockCount(csr.adj.size(), block_edges);
-  CNE_CHECK(num_blocks <= std::numeric_limits<uint32_t>::max())
-      << "CSR direction needs " << num_blocks
-      << " blocks, beyond the format's u32 block count";
-  out.U32(static_cast<uint32_t>(num_blocks));
-  ByteWriter block;
-  for (uint64_t b = 0; b < num_blocks; ++b) {
-    const CsrBlockSpan span = CsrBlockAt(b, csr.adj.size(), block_edges);
-    block = ByteWriter();
-    for (uint32_t i = 0; i < span.count; ++i) block.U32(csr.adj[span.first + i]);
-    out.U64(span.first);
-    out.U32(span.count);
-    out.U32(Crc32(block.data().data(), block.size()));
-    out.Bytes(block.data().data(), block.size());
-  }
-}
-
-struct CsrArrays {
-  std::vector<uint64_t> offsets;
-  std::vector<VertexId> adj;
-};
-
-CsrArrays ReadCsrDirection(ByteReader& in, VertexId num_vertices,
-                           uint64_t num_edges) {
-  CsrArrays csr;
-  // 64-bit loop index: `v <= num_vertices` on VertexId would wrap forever
-  // at num_vertices == UINT32_MAX.
-  csr.offsets.reserve(static_cast<size_t>(num_vertices) + 1);
-  for (uint64_t v = 0; v <= num_vertices; ++v) csr.offsets.push_back(in.U64());
-  csr.adj.reserve(num_edges);
-  const uint32_t num_blocks = in.U32();
-  for (uint32_t b = 0; b < num_blocks; ++b) {
-    const uint64_t first = in.U64();
-    const uint32_t count = in.U32();
-    const uint32_t crc = in.U32();
-    const auto raw = in.Borrow(static_cast<size_t>(count) * 4);
-    if (Crc32(raw.data(), raw.size()) != crc) {
-      throw std::runtime_error("CSR block " + std::to_string(b) +
-                               " CRC mismatch");
-    }
-    if (first != csr.adj.size()) {
-      throw std::runtime_error("CSR block " + std::to_string(b) +
-                               " out of order");
-    }
-    ByteReader ids(raw);
-    for (uint32_t i = 0; i < count; ++i) csr.adj.push_back(ids.U32());
-  }
-  if (csr.adj.size() != num_edges) {
-    throw std::runtime_error("CSR direction holds " +
-                             std::to_string(csr.adj.size()) + " edges, " +
-                             std::to_string(num_edges) + " expected");
-  }
-  return csr;
-}
-
-}  // namespace
-
-void WriteGraphSection(const BipartiteGraph& graph, ByteWriter& out,
-                       uint32_t block_edges) {
-  CNE_CHECK(block_edges > 0) << "block size must be positive";
-  out.U32(graph.NumUpper());
-  out.U32(graph.NumLower());
-  out.U64(graph.NumEdges());
-  out.U32(block_edges);
-  WriteCsrDirection(graph.Csr(Layer::kUpper), block_edges, out);
-  WriteCsrDirection(graph.Csr(Layer::kLower), block_edges, out);
-}
-
-BipartiteGraph ReadGraphSection(ByteReader& in) {
-  const VertexId num_upper = in.U32();
-  const VertexId num_lower = in.U32();
-  const uint64_t num_edges = in.U64();
-  in.U32();  // block_edges: a write-side tuning knob, not needed to read
-  CsrArrays upper = ReadCsrDirection(in, num_upper, num_edges);
-  CsrArrays lower = ReadCsrDirection(in, num_lower, num_edges);
-  return BipartiteGraph::FromCsr(
-      num_upper, num_lower, std::move(upper.offsets), std::move(upper.adj),
-      std::move(lower.offsets), std::move(lower.adj));
-}
-
-GraphSectionSummary SummarizeGraphSection(ByteReader& in) {
-  GraphSectionSummary summary;
-  summary.num_upper = in.U32();
-  summary.num_lower = in.U32();
-  summary.num_edges = in.U64();
-  summary.block_edges = in.U32();
-  for (const VertexId n : {summary.num_upper, summary.num_lower}) {
-    for (uint64_t v = 0; v <= n; ++v) in.U64();  // offsets (64-bit index)
-    const uint32_t num_blocks = in.U32();
-    for (uint32_t b = 0; b < num_blocks; ++b) {
-      in.U64();  // first
-      const uint32_t count = in.U32();
-      const uint32_t crc = in.U32();
-      const auto raw = in.Borrow(static_cast<size_t>(count) * 4);
-      if (Crc32(raw.data(), raw.size()) != crc) {
-        throw std::runtime_error("CSR block " + std::to_string(b) +
-                                 " CRC mismatch");
-      }
-      ++summary.num_blocks;
-    }
-  }
-  return summary;
-}
-
-BipartiteGraph LoadGraphFromSnapshot(const std::string& path) {
-  const SnapshotReader reader(path);
-  ByteReader section = reader.Section(SectionId::kGraph);
-  return ReadGraphSection(section);
 }
 
 void WriteViewsSection(const ViewsSection& views, ByteWriter& out) {
@@ -313,19 +199,9 @@ void WriteViewsSection(const ViewsSection& views, ByteWriter& out) {
     out.U64(entry.packed_vertex);
     out.U8(entry.state);
     if (entry.state != ViewRecord::kStateMaterialized) continue;
-    out.U64(entry.rng_stream);
-    out.F64(entry.epsilon);
-    out.F64(entry.flip_probability);
-    out.U32(entry.domain);
     out.U8(entry.bitmap ? 1 : 0);
     out.U64(entry.size);
-    if (entry.bitmap) {
-      out.U64(entry.words.size());
-      for (uint64_t word : entry.words) out.U64(word);
-    } else {
-      out.U64(entry.members.size());
-      for (VertexId member : entry.members) out.U32(member);
-    }
+    out.U64(entry.digest);
   }
 }
 
@@ -338,6 +214,14 @@ ViewsSection ReadViewsSection(ByteReader& in) {
   views.rejections = in.U64();
   views.uploaded_edges = in.U64();
   const uint64_t count = in.U64();
+  // Every record takes at least its vertex and state bytes: a count the
+  // section cannot hold is corrupt, and must not size an allocation.
+  constexpr uint64_t kMinRecordBytes = 8 + 1;
+  if (count > in.remaining() / kMinRecordBytes) {
+    throw std::runtime_error("views section: " + std::to_string(count) +
+                             " records cannot fit in " +
+                             std::to_string(in.remaining()) + " bytes");
+  }
   views.entries.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
     ViewRecord entry;
@@ -349,25 +233,53 @@ ViewsSection ReadViewsSection(ByteReader& in) {
                                std::to_string(entry.state));
     }
     if (entry.state == ViewRecord::kStateMaterialized) {
-      entry.rng_stream = in.U64();
-      entry.epsilon = in.F64();
-      entry.flip_probability = in.F64();
-      entry.domain = in.U32();
-      entry.bitmap = in.U8() != 0;
-      entry.size = in.U64();
-      const uint64_t payload = in.U64();
-      if (entry.bitmap) {
-        entry.words.reserve(payload);
-        for (uint64_t w = 0; w < payload; ++w) entry.words.push_back(in.U64());
-      } else {
-        entry.members.reserve(payload);
-        for (uint64_t m = 0; m < payload; ++m)
-          entry.members.push_back(in.U32());
+      const uint8_t bitmap = in.U8();
+      if (bitmap > 1) {
+        throw std::runtime_error("views section: bad representation " +
+                                 std::to_string(bitmap));
       }
+      entry.bitmap = bitmap == 1;
+      entry.size = in.U64();
+      entry.digest = in.U64();
     }
-    views.entries.push_back(std::move(entry));
+    views.entries.push_back(entry);
   }
   return views;
+}
+
+namespace {
+
+// SplitMix64's finalizer: a bijective mix in which every input bit
+// reaches every output bit.
+uint64_t Mix64(uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
+// Four independent mix chains over interleaved values (so a view of 16k
+// words digests at memory speed rather than at one chain's latency),
+// folded together with the value count.
+template <typename T>
+uint64_t DigestValues(std::span<const T> values) {
+  uint64_t lanes[4] = {1, 2, 3, 4};
+  size_t i = 0;
+  for (; i + 4 <= values.size(); i += 4) {
+    for (size_t k = 0; k < 4; ++k) lanes[k] = Mix64(lanes[k] ^ values[i + k]);
+  }
+  for (size_t k = 0; i < values.size(); ++i, ++k) {
+    lanes[k] = Mix64(lanes[k] ^ values[i]);
+  }
+  uint64_t digest = Mix64(values.size());
+  for (uint64_t lane : lanes) digest = Mix64(digest ^ lane);
+  return digest;
+}
+
+}  // namespace
+
+uint64_t ViewDigest(const NoisyNeighborSet& view) {
+  if (view.IsBitmap()) return DigestValues(view.View().bitmap().Words());
+  return DigestValues(std::span<const VertexId>(view.SortedMembers()));
 }
 
 }  // namespace cne

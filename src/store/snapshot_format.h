@@ -1,13 +1,14 @@
 // The versioned, checksummed binary snapshot format of the persistence
 // subsystem.
 //
-// Everything the query service holds — the bipartite graph, every
-// materialized ε-RR noisy view, the per-vertex budget ledger — lives in
+// The query service's privacy state — which vertices released their
+// ε-RR views, and how much lifetime budget each vertex spent — lives in
 // process memory; a restart without persistence either refuses all
 // traffic or re-randomizes views and double-spends lifetime edge-LDP
-// budget. A snapshot is one self-describing file capturing that state so
-// a killed server restarts byte-identical: same answers, same residual
-// budgets, zero re-released views.
+// budget. A snapshot is one self-describing file holding exactly the
+// part of that state that changes and cannot be recomputed, so a killed
+// server restarts byte-identical: same answers, same residual budgets,
+// zero re-released views.
 //
 // File layout (all integers little-endian, util/binary_io.h):
 //
@@ -19,17 +20,22 @@
 // Sections (ids in SectionId):
 //   kConfig  the service configuration the state was produced under —
 //            protocol kind, ε split, seed, lifetime budget (initial and
-//            current), the Laplace substream counter, graph shape, and
-//            (from format version 2) the RR sampler version
-//   kGraph   the bipartite graph in block-CSR: both CSR directions,
-//            offsets followed by adjacency ids chunked into fixed-size
-//            blocks, each block carrying its own CRC32 (MiniGraph-style
-//            out-of-core blocks; the granularity at which corruption is
-//            localized and a future partial loader can stream)
-//   kViews   every noisy view in its native sorted-or-bitmap
-//            representation with its ε and RNG stream id (the store's
-//            Fork key) — written/consumed by NoisyViewStore::Save/Restore
+//            current), the Laplace substream counter, graph shape, the RR
+//            sampler version and (from format version 3) the RR
+//            threshold t = BernoulliThreshold(FlipProbability(ε1))
+//   kViews   the view store's cumulative counters and one ViewRecord per
+//            touched vertex: authorized-pending, or materialized with its
+//            representation, released size, and ViewDigest
 //   kLedger  the full budget-ledger table (BudgetLedger::Serialize)
+//
+// Neither the graph nor any view byte is stored. The graph is the
+// caller's input and never changes; a view is a pure function of (seed,
+// vertex, ε1, sampler), so recovery regenerates it from the vertex's own
+// RNG substream. Regenerating from the same substream is a replay of the
+// release the world already saw, not a second release — and the stored
+// size and digest prove it: recovery refuses to serve a regenerated view
+// that differs from its record (a swapped graph, libm drift in the
+// sampler, an unversioned sampler change).
 //
 // Commit is atomic: SnapshotWriter serializes to `<path>.tmp`, fsyncs,
 // and renames over the target, so a crash mid-checkpoint leaves the
@@ -49,7 +55,6 @@
 #include <string>
 #include <vector>
 
-#include "graph/bipartite_graph.h"
 #include "ldp/randomized_response.h"
 #include "util/binary_io.h"
 
@@ -62,13 +67,15 @@ inline constexpr const char* kSnapshotFileName = "snapshot.cne";
 inline constexpr const char* kWalFileName = "budget.wal";
 
 /// Snapshot format version; SnapshotReader accepts no other. Version 2
-/// added the RR sampler version to the config section.
-inline constexpr uint32_t kSnapshotVersion = 2;
+/// added the RR sampler version to the config section; version 3 added
+/// the RR threshold and replaced the graph section and the view bytes
+/// with per-view size and digest records.
+inline constexpr uint32_t kSnapshotVersion = 3;
 
 /// Section identifiers. Values are part of the on-disk format.
 enum class SectionId : uint32_t {
   kConfig = 1,
-  kGraph = 2,
+  kGraph = 2,  ///< up to format 2 only; never written since
   kViews = 3,
   kLedger = 4,
 };
@@ -150,81 +157,24 @@ struct SnapshotConfig {
   double initial_lifetime_budget = 0.0;  ///< budget at service start
   double current_lifetime_budget = 0.0;  ///< after RaiseLifetimeBudget
   uint64_t next_noise_stream = 0;    ///< per-query Laplace substream counter
-  VertexId num_upper = 0;            ///< graph shape, for the inspector
+  VertexId num_upper = 0;            ///< graph shape (checked at open)
   VertexId num_lower = 0;
   uint64_t num_edges = 0;
   /// kRrSamplerVersion of the binary that released the views: the
   /// sampler recovery would regenerate authorized views with.
   uint32_t rr_sampler_version = kRrSamplerVersion;
+  /// BernoulliThreshold(FlipProbability(ε1)) as the releasing binary
+  /// computed it: the integer every bitmap release compares against.
+  uint64_t rr_threshold = 0;
 };
 
 void WriteConfigSection(const SnapshotConfig& config, ByteWriter& out);
 
 SnapshotConfig ReadConfigSection(ByteReader& in);
 
-/// Adjacency ids per CSR block of the graph section. Small enough that a
-/// corrupt block localizes to ~256 KiB, large enough that per-block
-/// headers are noise.
-inline constexpr uint32_t kDefaultCsrBlockEdges = 65536;
-
-/// One block's slice of a CSR adjacency array: ids [first, first + count).
-struct CsrBlockSpan {
-  uint64_t first = 0;
-  uint32_t count = 0;
-
-  friend bool operator==(const CsrBlockSpan&, const CsrBlockSpan&) = default;
-};
-
-/// Number of blocks a CSR direction of `num_ids` adjacency ids occupies.
-/// 64-bit arithmetic end to end: a 10⁸-edge direction is ~1.5k blocks,
-/// and block indexing must stay exact far past the 2³² id boundary
-/// (tests/store/wide_index_test.cc). The single definition the writer,
-/// reader, and inspector all use.
-constexpr uint64_t CsrBlockCount(uint64_t num_ids, uint32_t block_edges) {
-  return block_edges == 0 ? 0 : (num_ids + block_edges - 1) / block_edges;
-}
-
-/// The id span of block `block` within a direction of `num_ids` ids.
-constexpr CsrBlockSpan CsrBlockAt(uint64_t block, uint64_t num_ids,
-                                  uint32_t block_edges) {
-  const uint64_t first = block * block_edges;
-  const uint64_t count =
-      first < num_ids ? (num_ids - first < block_edges ? num_ids - first
-                                                       : block_edges)
-                      : 0;
-  return {first, static_cast<uint32_t>(count)};
-}
-
-/// Writes `graph` as block-CSR: both directions, offsets then adjacency
-/// in blocks of `block_edges` ids, each block with its own CRC32.
-void WriteGraphSection(const BipartiteGraph& graph, ByteWriter& out,
-                       uint32_t block_edges = kDefaultCsrBlockEdges);
-
-/// Reconstructs a graph from a block-CSR section. Validates every block
-/// CRC (std::runtime_error on mismatch); structural validation happens in
-/// BipartiteGraph::FromCsr.
-BipartiteGraph ReadGraphSection(ByteReader& in);
-
-/// Per-block accounting of a graph section, for the inspector.
-struct GraphSectionSummary {
-  VertexId num_upper = 0;
-  VertexId num_lower = 0;
-  uint64_t num_edges = 0;
-  uint32_t block_edges = 0;
-  uint64_t num_blocks = 0;
-};
-
-/// Parses a graph section's shape and block layout without materializing
-/// the graph (validates block CRCs along the way) — the inspector's view.
-GraphSectionSummary SummarizeGraphSection(ByteReader& in);
-
-/// Loads just the graph from a snapshot file — the warm-start path for
-/// tools that would otherwise re-parse a text edge list.
-BipartiteGraph LoadGraphFromSnapshot(const std::string& path);
-
 /// One vertex's entry in the views section. `state` distinguishes a view
-/// that was authorized (ε charged) but not yet materialized from a fully
-/// materialized one; only the latter carries payload.
+/// that was authorized (ε charged) but not yet materialized from a
+/// materialized one; only the latter carries a release summary.
 struct ViewRecord {
   /// On-disk lifecycle states. Part of the format — the single source of
   /// truth every writer, reader, and inspector must use (NoisyViewStore's
@@ -235,18 +185,11 @@ struct ViewRecord {
   uint64_t packed_vertex = 0;
   uint8_t state = 0;  ///< kStateAuthorizedPending or kStateMaterialized
 
-  // Materialized payload. `rng_stream` is the Rng::Fork stream the view
-  // was (and on regeneration would be) drawn from; `epsilon` its release
-  // budget. Exactly one of `members` (sorted mode) / `words` (bitmap
-  // mode) is populated.
-  uint64_t rng_stream = 0;
-  double epsilon = 0.0;
-  double flip_probability = 0.0;
-  VertexId domain = 0;
+  // Materialized only: what the release looked like, so a regenerated
+  // view can be checked against it.
   bool bitmap = false;
-  uint64_t size = 0;  ///< noisy degree (popcount in bitmap mode)
-  std::vector<VertexId> members;
-  std::vector<uint64_t> words;
+  uint64_t size = 0;    ///< noisy degree (popcount in bitmap mode)
+  uint64_t digest = 0;  ///< ViewDigest of the released view
 };
 
 /// The views section: the store's release budget, its cumulative stats
@@ -261,8 +204,19 @@ struct ViewsSection {
   std::vector<ViewRecord> entries;
 };
 
+/// Writes a views section.
 void WriteViewsSection(const ViewsSection& views, ByteWriter& out);
+
+/// Parses a views section. Throws std::runtime_error on a truncated
+/// section, a record count the bytes cannot hold, or an unknown state or
+/// representation byte; range and duplicate checks against a graph are
+/// NoisyViewStore::Restore's.
 ViewsSection ReadViewsSection(ByteReader& in);
+
+/// 64-bit digest of a view's released bytes — the bitmap words, or the
+/// sorted member ids. Portable (integer arithmetic only), so a digest
+/// written on one host verifies on another.
+uint64_t ViewDigest(const NoisyNeighborSet& view);
 
 }  // namespace cne
 

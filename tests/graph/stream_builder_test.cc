@@ -32,22 +32,20 @@ BipartiteGraph StreamEdges(VertexId num_upper, VertexId num_lower,
       });
 }
 
-// CSR arrays of both directions must match element for element — the
-// strongest equivalence the class exposes (EdgeList equality follows).
+// Both CSR directions must match list for list — equal neighbor lists
+// at every vertex mean equal offsets and adjacency arrays, the strongest
+// equivalence the class exposes (EdgeList equality follows).
 void ExpectSameCsr(const BipartiteGraph& a, const BipartiteGraph& b) {
   ASSERT_EQ(a.NumUpper(), b.NumUpper());
   ASSERT_EQ(a.NumLower(), b.NumLower());
   ASSERT_EQ(a.NumEdges(), b.NumEdges());
   for (Layer layer : {Layer::kUpper, Layer::kLower}) {
-    const auto ca = a.Csr(layer);
-    const auto cb = b.Csr(layer);
-    ASSERT_EQ(ca.offsets.size(), cb.offsets.size());
-    EXPECT_TRUE(std::equal(ca.offsets.begin(), ca.offsets.end(),
-                           cb.offsets.begin()))
-        << "offsets differ in layer " << LayerName(layer);
-    ASSERT_EQ(ca.adj.size(), cb.adj.size());
-    EXPECT_TRUE(std::equal(ca.adj.begin(), ca.adj.end(), cb.adj.begin()))
-        << "adjacency differs in layer " << LayerName(layer);
+    for (VertexId v = 0; v < a.NumVertices(layer); ++v) {
+      const auto na = a.Neighbors(layer, v);
+      const auto nb = b.Neighbors(layer, v);
+      ASSERT_TRUE(std::equal(na.begin(), na.end(), nb.begin(), nb.end()))
+          << LayerName(layer) << " vertex " << v;
+    }
   }
 }
 

@@ -598,11 +598,10 @@ ReleaseTally TallyReleases(const BipartiteGraph& g, LayeredVertex vertex,
         ApplyRandomizedResponse(g, vertex, epsilon, rng, RrStorage::kBitmap);
     EXPECT_TRUE(noisy.IsBitmap());
     const auto words = noisy.View().bitmap().Words();
-    // Bits past the domain stay zero: FromWords accepts the words (it
-    // aborts on a set tail bit) and rebuilds the same set.
-    const DenseBitset rebuilt = DenseBitset::FromWords(
-        std::vector<uint64_t>(words.begin(), words.end()), n);
-    EXPECT_EQ(rebuilt.Count(), noisy.Size());
+    // Bits past the domain stay zero.
+    if (n % 64 != 0) {
+      EXPECT_EQ(words.back() >> (n % 64), 0u);
+    }
     for (VertexId v = 0; v < n; ++v) {
       bit[v] = (words[v >> 6] >> (v & 63)) & 1;
       tally.ones[v] += bit[v];

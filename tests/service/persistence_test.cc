@@ -6,7 +6,9 @@
 // twice. Includes the simulated torn-final-WAL-record crash, which must
 // be detected and dropped, never half-applied.
 
+#include <algorithm>
 #include <filesystem>
+#include <functional>
 #include <iterator>
 #include <string>
 #include <vector>
@@ -286,10 +288,10 @@ TEST(PersistenceTest, RaiseLifetimeBudgetSurvivesTheCrash) {
                     "post-raise retry");
 }
 
-TEST(PersistenceTest, CheckpointAfterRestoreKeepsPendingViews) {
-  // A WAL-replayed view authorization is still pending (unmaterialized)
-  // when an operator checkpoints immediately after recovery; the pending
-  // mark must flow through the snapshot and materialize later.
+TEST(PersistenceTest, CheckpointRightAfterRecoveryRecordsReplayedViews) {
+  // Views authorized only in the WAL are regenerated at open; an operator
+  // checkpointing immediately after recovery, before any submit, must
+  // record them so the next open regenerates and verifies them again.
   const BipartiteGraph g = TestGraph();
   const auto w1 = Workload(g, 60, 8);
   const auto w2 = Workload(g, 60, 9);
@@ -304,14 +306,14 @@ TEST(PersistenceTest, CheckpointAfterRestoreKeepsPendingViews) {
   }
   {
     QueryService restored(g, MakeOptions(ServiceAlgorithm::kOneR, dir));
-    restored.Checkpoint();  // pending views from WAL replay, no submit
+    restored.Checkpoint();  // views from WAL replay, no submit
   }
   QueryService final_service(g, MakeOptions(ServiceAlgorithm::kOneR, dir));
   EXPECT_TRUE(final_service.recovery().snapshot_loaded);
   EXPECT_EQ(final_service.recovery().wal_replay_records, 0u);
   ExpectSameAnswers(reference.Submit(w2), final_service.Submit(w2),
-                    "pending");
-  ExpectSameViews(g, reference.store(), final_service.store(), "pending");
+                    "replayed");
+  ExpectSameViews(g, reference.store(), final_service.store(), "replayed");
 }
 
 TEST(PersistenceTest, FreshDirectoryBehavesLikeAnEphemeralService) {
@@ -386,104 +388,247 @@ TEST(PersistenceTest, MissingWalNextToSnapshotIsRefused) {
                std::runtime_error);
 }
 
-// --- Sampler versioning: recovery regenerates authorized views from their
-// --- RNG substream, so state released by another sampler is refused.
+// --- Sampler stamps: recovery regenerates views from their RNG
+// --- substream, so state released by another sampler version, or under
+// --- another RR threshold (another libm's rounding of std::exp), is
+// --- refused.
 
-// The version before the current one: the stamp the tests re-write into
-// otherwise valid state.
+// The version before the current one, and this binary's threshold at
+// OneR's ε = 2: the stamps the tests re-write into otherwise valid state.
 constexpr uint32_t kOtherSampler = kRrSamplerVersion - 1;
+const uint64_t kThreshold = BernoulliThreshold(FlipProbability(2.0));
 
-void ExpectSamplerRefusal(const BipartiteGraph& g, const std::string& dir) {
+const std::vector<std::string> kSamplerRefusal = {
+    "RR sampler version " + std::to_string(kOtherSampler) + ",",
+    "samples with version " + std::to_string(kRrSamplerVersion)};
+const std::vector<std::string> kThresholdRefusal = {
+    "RR threshold " + std::to_string(kThreshold + 1) + ",",
+    "computes threshold " + std::to_string(kThreshold)};
+
+// Opening `dir` must throw a message naming every one of `needles`.
+void ExpectRefusal(const BipartiteGraph& g, const std::string& dir,
+                   const std::vector<std::string>& needles) {
   try {
     QueryService service(g, MakeOptions(ServiceAlgorithm::kOneR, dir));
-    FAIL() << "opened state stamped with another sampler version";
+    FAIL() << "opened " << dir;
   } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("RR sampler version " +
-                        std::to_string(kOtherSampler) + ","),
-              std::string::npos)
-        << what;
-    EXPECT_NE(what.find("samples with version " +
-                        std::to_string(kRrSamplerVersion)),
-              std::string::npos)
-        << what;
+    for (const std::string& needle : needles) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+          << e.what();
+    }
   }
 }
 
-TEST(PersistenceTest, SnapshotFromAnotherSamplerVersionIsRefused) {
+// OneR state in the fresh directory `name`: checkpointed, or WAL-only.
+std::string OneRState(const BipartiteGraph& g, const std::string& name,
+                      bool checkpoint) {
+  const std::string dir = FreshDir(name);
+  QueryService service(g, MakeOptions(ServiceAlgorithm::kOneR, dir));
+  service.Submit(Workload(g, 40, 13));
+  if (checkpoint) service.Checkpoint();
+  return dir;
+}
+
+// Re-commits the snapshot in `dir` with its config and views sections
+// passed through the given edits (empty: unchanged), every other byte
+// as it was.
+void EditSnapshot(const std::string& dir,
+                  const std::function<void(SnapshotConfig&)>& edit_config,
+                  const std::function<void(ViewsSection&)>& edit_views = {}) {
+  const std::string path =
+      (std::filesystem::path(dir) / kSnapshotFileName).string();
+  const SnapshotReader reader(path);
+  SnapshotWriter writer(reader.epoch());
+  for (const SectionInfo& info : reader.sections()) {
+    ByteReader in = reader.Section(info.id);
+    ByteWriter& out = writer.BeginSection(info.id);
+    if (info.id == SectionId::kConfig && edit_config) {
+      SnapshotConfig config = ReadConfigSection(in);
+      edit_config(config);
+      WriteConfigSection(config, out);
+    } else if (info.id == SectionId::kViews && edit_views) {
+      ViewsSection views = ReadViewsSection(in);
+      edit_views(views);
+      WriteViewsSection(views, out);
+    } else {
+      const auto bytes = in.Borrow(in.remaining());
+      out.Bytes(bytes.data(), bytes.size());
+    }
+    writer.EndSection();
+  }
+  writer.Commit(path);
+}
+
+// Re-stamps the WAL header in `dir`, every record unchanged: the sampler
+// version sits at byte 20 (after magic, format version and epoch), the
+// threshold right after it.
+void RestampWal(const std::string& dir, uint32_t sampler_version,
+                uint64_t rr_threshold) {
+  const std::string path =
+      (std::filesystem::path(dir) / kWalFileName).string();
+  std::vector<uint8_t> bytes = ReadFileBytes(path);
+  ByteWriter stamp;
+  stamp.U32(sampler_version);
+  stamp.U64(rr_threshold);
+  std::copy(stamp.data().begin(), stamp.data().end(), bytes.begin() + 20);
+  WriteFileAtomic(path, bytes);
+}
+
+TEST(PersistenceTest, SnapshotStampedByAnotherSamplerIsRefused) {
   const BipartiteGraph g = TestGraph();
-  const std::string dir = FreshDir("sampler_snapshot");
+  const std::string version_dir = OneRState(g, "sampler_snapshot", true);
+  EditSnapshot(version_dir, [](SnapshotConfig& config) {
+    ASSERT_EQ(config.rr_sampler_version, kRrSamplerVersion);
+    config.rr_sampler_version = kOtherSampler;
+  });
+  ExpectRefusal(g, version_dir, kSamplerRefusal);
+
+  const std::string threshold_dir = OneRState(g, "threshold_snapshot", true);
+  EditSnapshot(threshold_dir, [](SnapshotConfig& config) {
+    ASSERT_EQ(config.rr_threshold, kThreshold);
+    config.rr_threshold = kThreshold + 1;
+  });
+  ExpectRefusal(g, threshold_dir, kThresholdRefusal);
+}
+
+TEST(PersistenceTest, WalStampedByAnotherSamplerIsRefused) {
+  // No checkpoint yet: every authorized view lives only in the WAL and
+  // has no digest, so the header stamps are all that guard its
+  // regeneration.
+  const BipartiteGraph g = TestGraph();
+  const std::string version_dir = OneRState(g, "sampler_wal", false);
+  RestampWal(version_dir, kOtherSampler, kThreshold);
+  ExpectRefusal(g, version_dir, kSamplerRefusal);
+
+  const std::string threshold_dir = OneRState(g, "threshold_wal", false);
+  RestampWal(threshold_dir, kRrSamplerVersion, kThreshold + 1);
+  ExpectRefusal(g, threshold_dir, kThresholdRefusal);
+}
+
+// --- Recovery regenerates every view and proves each checkpointed one is
+// --- the release it replaces.
+
+TEST(PersistenceTest, SameShapeGraphWithAMovedEdgeIsRefused) {
+  // 110 upper vertices: lower views are bitmaps, so moving one edge of a
+  // released vertex flips exactly two bits of its regenerated release.
+  const BipartiteGraph g = PlantedCommonNeighbors(3, 5, 2, 100, 8);
+  const std::string dir = FreshDir("swapped_graph");
   {
     QueryService service(g, MakeOptions(ServiceAlgorithm::kOneR, dir));
-    service.Submit(Workload(g, 40, 13));
+    service.Submit({{Layer::kLower, 0, 1}});
+    ASSERT_TRUE(service.store().View({Layer::kLower, 0}).IsBitmap());
     service.Checkpoint();
   }
-  // Re-stamp the committed snapshot as written by another sampler, every
-  // other byte unchanged.
-  const std::string path = (std::filesystem::path(dir) / kSnapshotFileName)
-                               .string();
-  {
-    const SnapshotReader reader(path);
-    SnapshotWriter writer(reader.epoch());
-    for (const SectionInfo& info : reader.sections()) {
-      ByteReader in = reader.Section(info.id);
-      ByteWriter& out = writer.BeginSection(info.id);
-      if (info.id == SectionId::kConfig) {
-        SnapshotConfig config = ReadConfigSection(in);
-        ASSERT_EQ(config.rr_sampler_version, kRrSamplerVersion);
-        config.rr_sampler_version = kOtherSampler;
-        WriteConfigSection(config, out);
-      } else {
-        const auto bytes = in.Borrow(in.remaining());
-        out.Bytes(bytes.data(), bytes.size());
-      }
-      writer.EndSection();
-    }
-    writer.Commit(path);
-  }
-  ExpectSamplerRefusal(g, dir);
+  // Lower vertex 0 trades its first neighbor for an upper vertex it was
+  // not adjacent to: same |U|, |L| and edge count.
+  const VertexId from = g.Neighbors(Layer::kLower, 0).front();
+  VertexId to = 0;
+  while (g.HasEdge(to, 0)) ++to;
+  std::vector<Edge> edges = g.EdgeList();
+  std::erase(edges, Edge{from, 0});
+  edges.push_back({to, 0});
+  std::sort(edges.begin(), edges.end());
+  const BipartiteGraph moved(g.NumUpper(), g.NumLower(), edges);
+  ASSERT_EQ(moved.NumEdges(), g.NumEdges());
+
+  ExpectRefusal(moved, dir, {"regenerated view of lower vertex 0 differs"});
+  // The refusal changed nothing on disk: the true graph still restores.
+  QueryService ok(g, MakeOptions(ServiceAlgorithm::kOneR, dir));
+  EXPECT_TRUE(ok.recovery().snapshot_loaded);
 }
 
-TEST(PersistenceTest, WalFromAnotherSamplerVersionIsRefused) {
-  // No checkpoint yet: every authorized view lives only in the WAL, whose
-  // header is re-stamped as written by another sampler.
+TEST(PersistenceTest, HostileRecordsThrowAtOpen) {
+  // Every case passes its file's CRCs (the file is re-committed) and must
+  // be refused at open with an exception — never an abort, never a
+  // served view.
   const BipartiteGraph g = TestGraph();
-  const std::string dir = FreshDir("sampler_wal");
+  const std::string base = FreshDir("hostile_base");
   {
-    QueryService service(g, MakeOptions(ServiceAlgorithm::kOneR, dir));
-    service.Submit(Workload(g, 40, 14));
+    QueryService service(g, MakeOptions(ServiceAlgorithm::kOneR, base));
+    service.Submit({{Layer::kLower, 0, 1}});
+    service.Checkpoint();                     // lower 0 and 1 checkpointed
+    service.Submit({{Layer::kLower, 2, 3}});  // lower 2 and 3 WAL-only
   }
-  const std::string path = (std::filesystem::path(dir) / kWalFileName)
-                               .string();
-  const std::vector<uint8_t> bytes = ReadFileBytes(path);
-  ByteReader header(bytes);
-  ByteWriter restamped;
-  restamped.U64(header.U64());  // magic
-  restamped.U32(header.U32());  // format version
-  restamped.U64(header.U64());  // epoch
-  ASSERT_EQ(header.U32(), kRrSamplerVersion);
-  restamped.U32(kOtherSampler);
-  const auto records = header.Borrow(header.remaining());
-  ASSERT_FALSE(records.empty());
-  restamped.Bytes(records.data(), records.size());
-  WriteFileAtomic(path, restamped.data());
-  EXPECT_EQ(BudgetWal::Read(path).rr_sampler_version, kOtherSampler);
-  ExpectSamplerRefusal(g, dir);
+  // Each case runs on its own copy of `base`, edited by `edit`.
+  const auto expect_refused = [&](const char* name,
+                                  const std::function<void(
+                                      const std::string&)>& edit) {
+    const std::string dir = FreshDir("hostile_case");
+    std::filesystem::copy(base, dir);
+    edit(dir);
+    EXPECT_THROW(QueryService(g, MakeOptions(ServiceAlgorithm::kOneR, dir)),
+                 std::runtime_error)
+        << name;
+  };
+  const uint64_t past_layer =
+      PackLayeredVertex({Layer::kLower, g.NumLower()});
+  const uint64_t no_layer = (uint64_t{2} << 32) | 1;
+
+  // The snapshot's records are lower 0 then lower 1, both materialized.
+  const struct {
+    const char* name;
+    std::function<void(ViewsSection&)> edit;
+  } record_cases[] = {
+      {"vertex past the layer size",
+       [&](ViewsSection& v) { v.entries[0].packed_vertex = past_layer; }},
+      {"vertex in no layer",
+       [&](ViewsSection& v) { v.entries[0].packed_vertex = no_layer; }},
+      {"duplicate vertex",
+       [](ViewsSection& v) { v.entries.push_back(v.entries[0]); }},
+      {"unknown state byte", [](ViewsSection& v) { v.entries[0].state = 3; }},
+      {"released size off by one",
+       [](ViewsSection& v) { ++v.entries[0].size; }},
+      {"digest off by one bit",
+       [](ViewsSection& v) { v.entries[0].digest ^= 1; }},
+      {"other representation",
+       [](ViewsSection& v) { v.entries[0].bitmap = !v.entries[0].bitmap; }},
+      {"other release budget", [](ViewsSection& v) { v.epsilon = 3.0; }},
+  };
+  for (const auto& c : record_cases) {
+    expect_refused(c.name, [&](const std::string& dir) {
+      EditSnapshot(dir, {}, c.edit);
+    });
+  }
+
+  // A view authorization appended to the WAL behind a seal.
+  const struct {
+    const char* name;
+    uint64_t vertex;
+  } wal_cases[] = {
+      {"WAL vertex past the layer size", past_layer},
+      {"WAL vertex in no layer", no_layer},
+      {"WAL vertex already in the snapshot",
+       PackLayeredVertex({Layer::kLower, 0})},
+      {"WAL vertex authorized twice", PackLayeredVertex({Layer::kLower, 2})},
+  };
+  for (const auto& c : wal_cases) {
+    expect_refused(c.name, [&](const std::string& dir) {
+      const std::string path =
+          (std::filesystem::path(dir) / kWalFileName).string();
+      WalReplay replay = BudgetWal::Read(path);
+      WalRecord authorized;
+      authorized.type = WalRecordType::kViewAuthorized;
+      authorized.vertex = c.vertex;
+      const WalRecord seal = replay.records.back();
+      replay.records.insert(replay.records.end(), {authorized, seal});
+      BudgetWal::Rewrite(path, replay.epoch, replay.records,
+                         replay.rr_threshold);
+    });
+  }
 }
 
 // --- Scale: kill-restore on a generated 10⁵-edge power-law graph whose
-// --- snapshot spans multiple CSR blocks per direction and whose view
-// --- population mixes sorted and bitmap representations.
+// --- view population mixes sorted and bitmap representations.
 
 TEST(PersistenceTest, KillRestoreOnGeneratedScaleGraph) {
   SyntheticSpec spec;
   spec.num_upper = 5000;
   spec.num_lower = 20000;
-  spec.num_edges = 120000;  // ~1.1e5 distinct: > 65536 ids per direction
+  spec.num_edges = 120000;  // ~9.5e4 distinct edges
   spec.seed = 21;
   const std::string cache_dir = FreshDir("scale_cache");
   const BipartiteGraph g = BuildSyntheticGraph(spec, cache_dir);
-  ASSERT_GT(g.NumEdges(), uint64_t{kDefaultCsrBlockEdges});
+  ASSERT_GT(g.NumEdges(), uint64_t{90'000});
 
   // ε1 = 6 puts the RR flip probability (~0.0025) under the 1/128 bitmap
   // density threshold, so hub views go bitmap via their d/n term while
@@ -518,13 +663,12 @@ TEST(PersistenceTest, KillRestoreOnGeneratedScaleGraph) {
     service.Submit(w2);  // w2 lives only in the WAL
   }  // kill
 
-  // The checkpoint's graph section really is multi-block CSR.
+  // The checkpoint holds neither the graph nor any view byte: records of
+  // a few dozen bytes per released view plus the ledger.
   const SnapshotReader snapshot(
       (std::filesystem::path(dir) / kSnapshotFileName).string());
-  ByteReader graph_section = snapshot.Section(SectionId::kGraph);
-  const GraphSectionSummary summary = SummarizeGraphSection(graph_section);
-  EXPECT_EQ(summary.num_edges, g.NumEdges());
-  EXPECT_GE(summary.num_blocks, 4u);  // >= 2 blocks per direction
+  EXPECT_FALSE(snapshot.Has(SectionId::kGraph));
+  EXPECT_LT(snapshot.file_bytes(), uint64_t{64} << 10);
 
   ServiceOptions restored_options = options;
   restored_options.snapshot_dir = dir;

@@ -181,8 +181,9 @@ TEST(BudgetWalTest, RewriteCompactsToExactlyTheGivenRecords) {
 // --- Exhaustive torn-tail coverage: a crash can cut or rot the file at
 // --- ANY byte, so every offset is tested, not a sampled handful.
 
-// magic u64 + version u32 + epoch u64 + sampler version u32
-constexpr size_t kHeaderBytes = 24;
+// magic u64 + version u32 + epoch u64 + sampler version u32 +
+// RR threshold u64
+constexpr size_t kHeaderBytes = 32;
 constexpr size_t kRecordBytes = 21;  // type u8 + u64 + u64 + crc u32
 
 // Five records, two seals: [Charge, Sealed, Charge, Authorized, Sealed].
@@ -263,33 +264,56 @@ TEST(BudgetWalTornTest, FlippingEveryByteOfTheFinalRecordDropsIt) {
   std::filesystem::remove(path);
 }
 
-TEST(BudgetWalTest, HeaderCarriesTheSamplerVersion) {
-  const std::string path = TempPath("wal_sampler.wal");
-  BudgetWal::Reset(path, 6);
-  EXPECT_EQ(BudgetWal::Read(path).rr_sampler_version, kRrSamplerVersion);
+// The message BudgetWal::Read throws on `path` ("" when it reads fine).
+std::string ReadError(const std::string& path) {
+  try {
+    BudgetWal::Read(path);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
 
-  // The stamp is read back as written, whatever its value: refusing a
-  // foreign sampler is recovery's decision, not the reader's.
-  BudgetWal::Rewrite(path, 6, std::vector<WalRecord>{Sealed(2)});
+TEST(BudgetWalTest, HeaderCarriesTheSamplerVersionAndThreshold) {
+  const std::string path = TempPath("wal_sampler.wal");
+  const uint64_t threshold = BernoulliThreshold(FlipProbability(1.0));
+  BudgetWal::Reset(path, 6, threshold);
+  EXPECT_EQ(BudgetWal::Read(path).rr_sampler_version, kRrSamplerVersion);
+  EXPECT_EQ(BudgetWal::Read(path).rr_threshold, threshold);
+
+  // The stamps are read back as written, whatever their value: refusing
+  // a foreign sampler is recovery's decision, not the reader's.
+  BudgetWal::Rewrite(path, 6, std::vector<WalRecord>{Sealed(2)}, threshold);
   std::vector<uint8_t> bytes = ReadFileBytes(path);
   ASSERT_EQ(bytes.size(), kHeaderBytes + kRecordBytes);
   bytes[20] = 9;  // rr_sampler_version follows magic, version and epoch
+  bytes[24] ^= 1;  // the threshold follows the sampler version
   WriteFileAtomic(path, bytes);
   const WalReplay replay = BudgetWal::Read(path);
   EXPECT_EQ(replay.rr_sampler_version, 9u);
+  EXPECT_EQ(replay.rr_threshold, threshold ^ 1);
   EXPECT_EQ(replay.epoch, 6u);
   ASSERT_EQ(replay.records.size(), 1u);
   EXPECT_EQ(replay.records[0], Sealed(2));
   EXPECT_FALSE(replay.torn_tail);
 
-  // Any other format version is refused: format 1 (no stamp) as well as
-  // versions this binary does not know.
-  for (uint8_t version : {1, 3}) {
+  // Any other format version is refused, naming both versions: format 2
+  // (no threshold) as well as versions this binary does not know.
+  for (uint8_t version : {2, 4}) {
     bytes[8] = version;
     WriteFileAtomic(path, bytes);
-    EXPECT_THROW(BudgetWal::Read(path), std::runtime_error)
-        << "format " << int{version};
+    const std::string what = ReadError(path);
+    EXPECT_NE(what.find("WAL version " + std::to_string(version) + ";"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("reads version 3"), std::string::npos) << what;
   }
+  // An empty format-2 log is shorter than a format-3 header; it still
+  // gets the version diagnosis.
+  bytes.resize(24);
+  bytes[8] = 2;
+  WriteFileAtomic(path, bytes);
+  EXPECT_NE(ReadError(path).find("WAL version 2;"), std::string::npos);
   std::filesystem::remove(path);
 }
 

@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include "graph/generators.h"
 #include "util/binary_io.h"
 
 namespace cne {
@@ -16,12 +15,6 @@ namespace {
 
 std::string TempPath(const std::string& name) {
   return (std::filesystem::path(::testing::TempDir()) / name).string();
-}
-
-BipartiteGraph MakeTestGraph(VertexId num_upper, VertexId num_lower,
-                             uint64_t num_edges, uint64_t seed) {
-  Rng rng(seed);
-  return ErdosRenyiBipartite(num_upper, num_lower, num_edges, rng);
 }
 
 TEST(SnapshotFormatTest, WriterReaderRoundTripsSectionsAndEpoch) {
@@ -110,6 +103,27 @@ TEST(SnapshotFormatTest, TruncatedAndForeignFilesAreRejected) {
   std::filesystem::remove(path);
 }
 
+TEST(SnapshotFormatTest, OtherFormatVersionsAreRefusedNamingBoth) {
+  const std::string path = TempPath("snapshot_version.cne");
+  SnapshotWriter writer(7);
+  writer.BeginSection(SectionId::kConfig);
+  writer.EndSection();
+  writer.Commit(path);
+  auto bytes = ReadFileBytes(path);
+  bytes[8] = 2;  // the version follows the 8-byte magic
+  WriteFileAtomic(path, bytes);
+  try {
+    SnapshotReader reader(path);
+    FAIL() << "opened a format 2 snapshot";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "version 2; this binary reads version 3"),
+              std::string::npos)
+        << e.what();
+  }
+  std::filesystem::remove(path);
+}
+
 TEST(SnapshotFormatTest, ConfigSectionRoundTrips) {
   SnapshotConfig config;
   config.protocol_kind = 3;
@@ -124,12 +138,14 @@ TEST(SnapshotFormatTest, ConfigSectionRoundTrips) {
   config.num_lower = 20;
   config.num_edges = 77;
   config.rr_sampler_version = 7;
+  config.rr_threshold = 0x0010000000000001ULL;
 
   ByteWriter out;
   WriteConfigSection(config, out);
   ByteReader in(out.data());
   const SnapshotConfig back = ReadConfigSection(in);
   EXPECT_EQ(back.rr_sampler_version, 7u);
+  EXPECT_EQ(back.rr_threshold, config.rr_threshold);
   EXPECT_EQ(back.protocol_kind, config.protocol_kind);
   EXPECT_EQ(back.epsilon, config.epsilon);
   EXPECT_EQ(back.epsilon1_fraction, config.epsilon1_fraction);
@@ -145,76 +161,7 @@ TEST(SnapshotFormatTest, ConfigSectionRoundTrips) {
   EXPECT_EQ(SnapshotConfig{}.rr_sampler_version, kRrSamplerVersion);
 }
 
-void ExpectGraphsEqual(const BipartiteGraph& a, const BipartiteGraph& b) {
-  ASSERT_EQ(a.NumUpper(), b.NumUpper());
-  ASSERT_EQ(a.NumLower(), b.NumLower());
-  ASSERT_EQ(a.NumEdges(), b.NumEdges());
-  EXPECT_EQ(a.EdgeList(), b.EdgeList());
-  // The lower direction is restored, not recomputed: spot-check it.
-  for (VertexId v = 0; v < a.NumLower(); ++v) {
-    const auto na = a.Neighbors(Layer::kLower, v);
-    const auto nb = b.Neighbors(Layer::kLower, v);
-    ASSERT_TRUE(std::equal(na.begin(), na.end(), nb.begin(), nb.end()))
-        << "lower vertex " << v;
-  }
-}
-
-TEST(SnapshotFormatTest, GraphSectionRoundTripsInBlocks) {
-  const BipartiteGraph graph = MakeTestGraph(60, 150, 700, 3);
-  // A block size far below the edge count forces many blocks; 1 is the
-  // degenerate one-id-per-block extreme.
-  for (uint32_t block_edges : {1u, 7u, 64u, kDefaultCsrBlockEdges}) {
-    ByteWriter out;
-    WriteGraphSection(graph, out, block_edges);
-    ByteReader in(out.data());
-    const BipartiteGraph restored = ReadGraphSection(in);
-    ExpectGraphsEqual(graph, restored);
-    EXPECT_EQ(in.remaining(), 0u) << "block size " << block_edges;
-
-    ByteReader summarize(out.data());
-    const GraphSectionSummary summary = SummarizeGraphSection(summarize);
-    EXPECT_EQ(summary.num_edges, graph.NumEdges());
-    EXPECT_EQ(summary.block_edges, block_edges);
-    const uint64_t expected_blocks =
-        (graph.NumEdges() + block_edges - 1) / block_edges;
-    EXPECT_EQ(summary.num_blocks, 2 * expected_blocks);
-  }
-}
-
-TEST(SnapshotFormatTest, EmptyGraphRoundTrips) {
-  const BipartiteGraph empty(3, 4, {});
-  ByteWriter out;
-  WriteGraphSection(empty, out);
-  ByteReader in(out.data());
-  const BipartiteGraph restored = ReadGraphSection(in);
-  EXPECT_EQ(restored.NumUpper(), 3u);
-  EXPECT_EQ(restored.NumLower(), 4u);
-  EXPECT_EQ(restored.NumEdges(), 0u);
-}
-
-TEST(SnapshotFormatTest, CorruptCsrBlockIsDetected) {
-  const BipartiteGraph graph = MakeTestGraph(30, 60, 300, 5);
-  ByteWriter out;
-  WriteGraphSection(graph, out, 16);
-  std::vector<uint8_t> bytes(out.data().begin(), out.data().end());
-  bytes[bytes.size() - 2] ^= 0x01;  // inside the last block's ids
-  ByteReader in(bytes);
-  EXPECT_THROW(ReadGraphSection(in), std::runtime_error);
-}
-
-TEST(SnapshotFormatTest, LoadGraphFromSnapshotFile) {
-  const std::string path = TempPath("snapshot_graph.cne");
-  const BipartiteGraph graph = MakeTestGraph(25, 50, 200, 9);
-  SnapshotWriter writer(1);
-  WriteGraphSection(graph, writer.BeginSection(SectionId::kGraph));
-  writer.EndSection();
-  writer.Commit(path);
-  const BipartiteGraph restored = LoadGraphFromSnapshot(path);
-  ExpectGraphsEqual(graph, restored);
-  std::filesystem::remove(path);
-}
-
-TEST(SnapshotFormatTest, ViewsSectionRoundTripsBothRepresentations) {
+ViewsSection SampleViews() {
   ViewsSection views;
   views.epsilon = 1.0;
   views.lookups = 10;
@@ -226,34 +173,33 @@ TEST(SnapshotFormatTest, ViewsSectionRoundTripsBothRepresentations) {
   ViewRecord sorted;
   sorted.packed_vertex = PackLayeredVertex({Layer::kUpper, 4});
   sorted.state = ViewRecord::kStateMaterialized;
-  sorted.rng_stream = sorted.packed_vertex;
-  sorted.epsilon = 1.0;
-  sorted.flip_probability = 0.25;
-  sorted.domain = 100;
   sorted.bitmap = false;
   sorted.size = 3;
-  sorted.members = {5, 17, 80};
+  sorted.digest = 0x0123456789abcdefULL;
   views.entries.push_back(sorted);
 
   ViewRecord bitmap;
   bitmap.packed_vertex = PackLayeredVertex({Layer::kLower, 9});
   bitmap.state = ViewRecord::kStateMaterialized;
-  bitmap.rng_stream = bitmap.packed_vertex;
-  bitmap.epsilon = 1.0;
-  bitmap.flip_probability = 0.25;
-  bitmap.domain = 130;
   bitmap.bitmap = true;
   bitmap.size = 2;
-  bitmap.words = {uint64_t{1} << 5, 0, uint64_t{1} << 1};
+  bitmap.digest = 0xfedcba9876543210ULL;
   views.entries.push_back(bitmap);
 
   ViewRecord pending;
   pending.packed_vertex = PackLayeredVertex({Layer::kLower, 11});
   pending.state = ViewRecord::kStateAuthorizedPending;
   views.entries.push_back(pending);
+  return views;
+}
 
+TEST(SnapshotFormatTest, ViewsSectionRoundTripsRecords) {
+  const ViewsSection views = SampleViews();
   ByteWriter out;
   WriteViewsSection(views, out);
+  // Counters, then per record: vertex + state, and for a materialized
+  // view its representation, size and digest — never the view's bytes.
+  EXPECT_EQ(out.size(), 8u * 7 + 2 * (8 + 1 + 1 + 8 + 8) + (8 + 1));
   ByteReader in(out.data());
   const ViewsSection back = ReadViewsSection(in);
   EXPECT_EQ(in.remaining(), 0u);
@@ -261,12 +207,63 @@ TEST(SnapshotFormatTest, ViewsSectionRoundTripsBothRepresentations) {
   EXPECT_EQ(back.lookups, views.lookups);
   EXPECT_EQ(back.uploaded_edges, views.uploaded_edges);
   ASSERT_EQ(back.entries.size(), 3u);
-  EXPECT_EQ(back.entries[0].members, sorted.members);
-  EXPECT_FALSE(back.entries[0].bitmap);
-  EXPECT_EQ(back.entries[1].words, bitmap.words);
-  EXPECT_TRUE(back.entries[1].bitmap);
-  EXPECT_EQ(back.entries[1].domain, 130u);
-  EXPECT_EQ(back.entries[2].state, ViewRecord::kStateAuthorizedPending);
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(back.entries[i].packed_vertex, views.entries[i].packed_vertex);
+    EXPECT_EQ(back.entries[i].state, views.entries[i].state);
+    EXPECT_EQ(back.entries[i].bitmap, views.entries[i].bitmap);
+    EXPECT_EQ(back.entries[i].size, views.entries[i].size);
+    EXPECT_EQ(back.entries[i].digest, views.entries[i].digest);
+  }
+}
+
+TEST(SnapshotFormatTest, MalformedViewsSectionsThrow) {
+  ByteWriter out;
+  WriteViewsSection(SampleViews(), out);
+  const std::vector<uint8_t> good(out.data().begin(), out.data().end());
+  // Byte offsets into the encoding of SampleViews().
+  constexpr size_t kCountAt = 8 * 6;
+  constexpr size_t kFirstStateAt = kCountAt + 8 + 8;
+  constexpr size_t kFirstBitmapAt = kFirstStateAt + 1;
+  const struct {
+    const char* name;
+    size_t at;
+    uint8_t value;
+  } pokes[] = {
+      {"unknown state byte", kFirstStateAt, 7},
+      {"unknown representation byte", kFirstBitmapAt, 2},
+      {"record count beyond the section", kCountAt + 7, 0x10},
+      {"one more record than written", kCountAt, 4},
+  };
+  for (const auto& poke : pokes) {
+    std::vector<uint8_t> bytes = good;
+    bytes[poke.at] = poke.value;
+    ByteReader in(bytes);
+    EXPECT_THROW(ReadViewsSection(in), std::runtime_error) << poke.name;
+  }
+  for (size_t cut : {good.size() - 1, kCountAt}) {
+    ByteReader in(std::span<const uint8_t>(good.data(), cut));
+    EXPECT_THROW(ReadViewsSection(in), std::runtime_error) << "cut " << cut;
+  }
+}
+
+TEST(SnapshotFormatTest, ViewDigestTracksEveryReleasedBit) {
+  DenseBitset bits(130);
+  bits.Set(5);
+  bits.Set(129);
+  const NoisyNeighborSet bitmap(bits, 0.25);
+  const uint64_t digest = ViewDigest(bitmap);
+  // Part of the format: snapshots store it, so it must not drift.
+  EXPECT_EQ(digest, 0xae7912d3e5a0cfa0ULL);
+  for (VertexId flip : {0u, 5u, 63u, 64u, 127u, 128u, 129u}) {
+    DenseBitset other = bits;
+    other.MutableWords()[flip >> 6] ^= uint64_t{1} << (flip & 63);
+    EXPECT_NE(ViewDigest(NoisyNeighborSet(other, 0.25)), digest)
+        << "bit " << flip;
+  }
+  const NoisyNeighborSet sorted({5, 129}, 130, 0.25);
+  EXPECT_NE(ViewDigest(sorted), ViewDigest(NoisyNeighborSet({5, 128}, 130,
+                                                            0.25)));
+  EXPECT_NE(ViewDigest(sorted), ViewDigest(NoisyNeighborSet({5}, 130, 0.25)));
 }
 
 TEST(SnapshotFormatDeathTest, DuplicateSectionIsFatal) {

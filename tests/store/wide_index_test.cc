@@ -1,5 +1,5 @@
 // Overflow-regression tests for the 64-bit index arithmetic the scale
-// harness depends on: CSR offsets, snapshot block indexing, and
+// harness depends on: CSR offsets, persisted view counters, and
 // uploaded-edge accounting must all stay exact past the 2³² boundary.
 // Everything here tests the arithmetic directly on synthetic values — no
 // multi-GiB allocations.
@@ -39,63 +39,6 @@ TEST(WideIndexTest, CountsToOffsetsNearUint64Limit) {
   EXPECT_EQ(counts[2], 2 * half);
 }
 
-TEST(WideIndexTest, CsrBlockCountPastTwo32) {
-  const uint32_t block = kDefaultCsrBlockEdges;
-  // 10⁸-edge direction: the scale harness target.
-  EXPECT_EQ(CsrBlockCount(100'000'000, block), (100'000'000 + block - 1) / block);
-  // Past 2³² adjacency ids: 2³² + 5 ids is 65537 blocks, not a wrapped 1.
-  EXPECT_EQ(CsrBlockCount(kTwo32 + 5, block), kTwo32 / block + 1);
-  EXPECT_EQ(CsrBlockCount(0, block), 0u);
-  EXPECT_EQ(CsrBlockCount(1, block), 1u);
-  EXPECT_EQ(CsrBlockCount(block, block), 1u);
-  EXPECT_EQ(CsrBlockCount(block + 1, block), 2u);
-  EXPECT_EQ(CsrBlockCount(kTwo32, 0), 0u);  // degenerate block size
-}
-
-TEST(WideIndexTest, CsrBlockAtPastTwo32) {
-  const uint32_t block = kDefaultCsrBlockEdges;
-  const uint64_t num_ids = kTwo32 + 12345;
-  const uint64_t blocks = CsrBlockCount(num_ids, block);
-
-  // First block, the last full block ending exactly at 2³², and the
-  // ragged tail starting at 2³² (the boundary is a block multiple).
-  EXPECT_EQ(CsrBlockAt(0, num_ids, block), (CsrBlockSpan{0, block}));
-  const uint64_t boundary = kTwo32 / block;  // block starting at 2³²
-  const CsrBlockSpan before = CsrBlockAt(boundary - 1, num_ids, block);
-  EXPECT_EQ(before.first, kTwo32 - block);
-  EXPECT_EQ(before.count, block);
-  const CsrBlockSpan after = CsrBlockAt(boundary, num_ids, block);
-  EXPECT_EQ(after.first, kTwo32);
-  EXPECT_EQ(after.count, 12345u);
-
-  const CsrBlockSpan tail = CsrBlockAt(blocks - 1, num_ids, block);
-  EXPECT_EQ(tail.first + tail.count, num_ids);
-  EXPECT_GT(tail.count, 0u);
-  EXPECT_LE(tail.count, block);
-
-  // Out-of-range blocks are empty rather than wrapped.
-  EXPECT_EQ(CsrBlockAt(blocks, num_ids, block).count, 0u);
-}
-
-TEST(WideIndexTest, CsrBlockSpansTileTheIdRangeExactly) {
-  // Spans must partition [0, num_ids): contiguous, non-overlapping, and
-  // summing to the total — checked over a ragged shape near 2³².
-  const uint32_t block = kDefaultCsrBlockEdges;
-  const uint64_t num_ids = kTwo32 + 7 * block + 321;
-  const uint64_t blocks = CsrBlockCount(num_ids, block);
-  // Spot-check the boundary region instead of iterating 65k+ blocks.
-  for (uint64_t b : {uint64_t{0}, uint64_t{1}, blocks / 2, blocks - 2,
-                     blocks - 1}) {
-    const CsrBlockSpan span = CsrBlockAt(b, num_ids, block);
-    EXPECT_EQ(span.first, b * block);
-    if (b + 1 < blocks) {
-      EXPECT_EQ(span.count, block);
-    } else {
-      EXPECT_EQ(span.first + span.count, num_ids);
-    }
-  }
-}
-
 TEST(WideIndexTest, UploadedEdgeAccountingPastTwo32) {
   // 10⁸-edge graphs at ε=1 upload ~n bits per release; cumulative edge
   // uploads cross 2³² quickly. Stats must accumulate and convert without
@@ -130,12 +73,27 @@ TEST(WideIndexTest, PackLayeredVertexAtTheIdCeiling) {
 
 TEST(WideIndexTest, ViewsSectionCountersAreSixtyFourBit) {
   // The persisted counters mirror NoisyViewStore::Stats and must be wide
-  // enough for the same 10⁸-edge regime.
+  // enough for the same 10⁸-edge regime, on disk as well as in memory —
+  // and so must a record's released size (a 10⁸-id domain at ε = 1 flips
+  // ~2.7e7 bits per view; counts add up past 2³² across views).
   ViewsSection views;
   views.uploaded_edges = 3 * kTwo32;
   views.lookups = kTwo32 + 7;
-  EXPECT_EQ(views.uploaded_edges, 3 * kTwo32);
-  EXPECT_EQ(views.lookups, kTwo32 + 7);
+  ViewRecord record;
+  record.packed_vertex = PackLayeredVertex({Layer::kLower, kMaxVertexId});
+  record.state = ViewRecord::kStateMaterialized;
+  record.bitmap = true;
+  record.size = kTwo32 + 3;
+  views.entries.push_back(record);
+  ByteWriter out;
+  WriteViewsSection(views, out);
+  ByteReader in(out.data());
+  const ViewsSection back = ReadViewsSection(in);
+  EXPECT_EQ(back.uploaded_edges, 3 * kTwo32);
+  EXPECT_EQ(back.lookups, kTwo32 + 7);
+  ASSERT_EQ(back.entries.size(), 1u);
+  EXPECT_EQ(back.entries[0].packed_vertex, record.packed_vertex);
+  EXPECT_EQ(back.entries[0].size, kTwo32 + 3);
 }
 
 }  // namespace

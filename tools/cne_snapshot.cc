@@ -1,12 +1,14 @@
 // cne_snapshot — snapshot and WAL inspector for the persistence
 // subsystem (store/).
 //
-// Dumps a snapshot's header, section sizes, service configuration, graph
-// block layout, view-representation mix, and residual-budget histogram;
-// with --dir, also summarizes the companion write-ahead log. Everything
-// is validated the same way recovery validates it (magic, version,
-// section CRCs, CSR block CRCs), so a zero exit code means the snapshot
-// would restore.
+// Dumps a snapshot's header, section sizes, service configuration (graph
+// shape included), view-representation mix, and residual-budget
+// histogram; with --dir, also summarizes the companion write-ahead log.
+// The file is validated the way recovery reads it (magic, version,
+// section CRCs, record framing), so a nonzero exit code means recovery
+// would refuse it; recovery additionally regenerates every view over the
+// graph and checks it against its record, which needs the graph and is
+// not done here.
 //
 // Usage:
 //   cne_snapshot --snapshot=path/to/snapshot.cne [--json] [--bins=8]
@@ -45,9 +47,7 @@ struct ViewsSummary {
   uint64_t materialized = 0;
   uint64_t bitmap = 0;
   uint64_t sorted = 0;
-  uint64_t noisy_edges = 0;   ///< sum of view sizes
-  uint64_t payload_words = 0; ///< bitmap words stored
-  uint64_t payload_ids = 0;   ///< sorted ids stored
+  uint64_t noisy_edges = 0;  ///< sum of view sizes
   double epsilon = 0.0;
 };
 
@@ -62,13 +62,7 @@ ViewsSummary SummarizeViews(const ViewsSection& views) {
     }
     ++s.materialized;
     s.noisy_edges += entry.size;
-    if (entry.bitmap) {
-      ++s.bitmap;
-      s.payload_words += entry.words.size();
-    } else {
-      ++s.sorted;
-      s.payload_ids += entry.members.size();
-    }
+    ++(entry.bitmap ? s.bitmap : s.sorted);
   }
   return s;
 }
@@ -162,8 +156,6 @@ int main(int argc, char** argv) {
     const SnapshotReader reader(snapshot_path);
     ByteReader config_section = reader.Section(SectionId::kConfig);
     const SnapshotConfig config = ReadConfigSection(config_section);
-    ByteReader graph_section = reader.Section(SectionId::kGraph);
-    const GraphSectionSummary graph = SummarizeGraphSection(graph_section);
     ByteReader views_section = reader.Section(SectionId::kViews);
     const ViewsSummary views = SummarizeViews(ReadViewsSection(views_section));
     const LedgerSummary ledger =
@@ -187,15 +179,16 @@ int main(int argc, char** argv) {
           "\"epsilon1_fraction\": %g, \"seed\": %" PRIu64
           ", \"initial_lifetime_budget\": %g, "
           "\"current_lifetime_budget\": %g, \"next_noise_stream\": %" PRIu64
-          ", \"rr_sampler_version\": %u},\n",
+          ", \"rr_sampler_version\": %u, \"rr_threshold\": %" PRIu64
+          "},\n",
           algorithm, config.epsilon, config.epsilon1_fraction, config.seed,
           config.initial_lifetime_budget, config.current_lifetime_budget,
-          config.next_noise_stream, config.rr_sampler_version);
+          config.next_noise_stream, config.rr_sampler_version,
+          config.rr_threshold);
       std::printf(
           " \"graph\": {\"upper\": %u, \"lower\": %u, \"edges\": %" PRIu64
-          ", \"block_edges\": %u, \"blocks\": %" PRIu64 "},\n",
-          graph.num_upper, graph.num_lower, graph.num_edges,
-          graph.block_edges, graph.num_blocks);
+          "},\n",
+          config.num_upper, config.num_lower, config.num_edges);
       std::printf(
           " \"views\": {\"epsilon\": %g, \"entries\": %" PRIu64
           ", \"pending\": %" PRIu64 ", \"materialized\": %" PRIu64
@@ -224,15 +217,13 @@ int main(int argc, char** argv) {
       }
       std::printf("\nconfig     %s eps=%g (eps1 frac %g) seed=%" PRIu64
                   " budget %g->%g noise-streams=%" PRIu64
-                  " rr-sampler=v%u\n",
+                  " rr-sampler=v%u rr-threshold=%" PRIu64 "\n",
                   algorithm, config.epsilon, config.epsilon1_fraction,
                   config.seed, config.initial_lifetime_budget,
                   config.current_lifetime_budget, config.next_noise_stream,
-                  config.rr_sampler_version);
-      std::printf("graph      |U|=%u |L|=%u m=%" PRIu64 " in %" PRIu64
-                  " blocks of %u edges\n",
-                  graph.num_upper, graph.num_lower, graph.num_edges,
-                  graph.num_blocks, graph.block_edges);
+                  config.rr_sampler_version, config.rr_threshold);
+      std::printf("graph      |U|=%u |L|=%u m=%" PRIu64 "\n",
+                  config.num_upper, config.num_lower, config.num_edges);
       std::printf("views      eps=%g, %" PRIu64 " entries (%" PRIu64
                   " materialized: %" PRIu64 " bitmap / %" PRIu64
                   " sorted; %" PRIu64 " pending), %" PRIu64
