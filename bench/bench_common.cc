@@ -1,7 +1,6 @@
 #include "bench_common.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <sstream>
 #include <thread>
@@ -10,9 +9,7 @@
 #include <sched.h>
 #endif
 
-#include "graph/graph_stats.h"
 #include "util/cpu_features.h"
-#include "util/logging.h"
 #include "util/timer.h"
 
 namespace cne {
@@ -61,66 +58,6 @@ const BipartiteGraph& CachedDataset(const DatasetSpec& spec) {
     std::fprintf(stderr, "[bench]   done in %.1fs\n", timer.Seconds());
   }
   return it->second;
-}
-
-std::vector<uint64_t> ParseScaleList(const CommandLine& cl) {
-  std::vector<uint64_t> targets;
-  for (const std::string& s : cl.GetList("scale")) {
-    const long long v = std::atoll(s.c_str());
-    if (v <= 0) {
-      CNE_LOG(kWarning) << "ignoring non-positive --scale entry '" << s << "'";
-      continue;
-    }
-    targets.push_back(static_cast<uint64_t>(v));
-  }
-  return targets;
-}
-
-ScaleDataset MakeScaleDataset(uint64_t target_edges, double exponent,
-                              uint64_t seed) {
-  // BX (Bookcrossing) is the largest full-size Table 2 analog; its shape
-  // is the base every scale target is derived from.
-  const auto bx = FindDataset("BX");
-  CNE_CHECK(bx.has_value());
-  ScaleDataset dataset;
-  dataset.spec = ScaledShapeSpec(bx->gen_upper, bx->gen_lower, bx->gen_edges,
-                                 target_edges, exponent, seed);
-  Timer timer;
-  dataset.graph = BuildSyntheticGraph(dataset.spec, "", &dataset.cache);
-  dataset.build_seconds = timer.Seconds();
-  std::fprintf(stderr,
-               "[bench] scale graph %s: %s, built in %.2fs (m=%llu)\n",
-               dataset.cache.generated ? "generated" : "cache hit",
-               dataset.spec.Describe().c_str(), dataset.build_seconds,
-               static_cast<unsigned long long>(dataset.graph.NumEdges()));
-  return dataset;
-}
-
-std::string GraphShapeJson(const ScaleDataset& dataset) {
-  const GraphStats stats = ComputeGraphStats(dataset.graph);
-  std::ostringstream out;
-  out << "{\"draws\": " << dataset.spec.num_edges
-      << ", \"upper\": " << dataset.spec.num_upper
-      << ", \"lower\": " << dataset.spec.num_lower
-      << ", \"edges\": " << stats.num_edges
-      << ", \"exponent\": " << dataset.spec.exponent_upper
-      << ", \"seed\": " << dataset.spec.seed
-      << ", \"max_degree_upper\": " << stats.upper.max_degree
-      << ", \"avg_degree_upper\": " << stats.upper.average_degree
-      << ", \"max_degree_lower\": " << stats.lower.max_degree
-      << ", \"avg_degree_lower\": " << stats.lower.average_degree
-      << ", \"cache_hit\": " << (dataset.cache.generated ? "false" : "true")
-      << ", \"build_seconds\": " << dataset.build_seconds << "}";
-  return out.str();
-}
-
-std::string ScaleMetricJson(const std::string& name, double value,
-                            bool higher_is_better) {
-  std::ostringstream out;
-  out << "{\"name\": \"" << name << "\", \"value\": " << value
-      << ", \"higher_is_better\": " << (higher_is_better ? "true" : "false")
-      << "}";
-  return out.str();
 }
 
 std::string PhasesJson(const obs::MetricsSnapshot& metrics,

@@ -11,7 +11,6 @@
 
 #include "eval/datasets.h"
 #include "graph/bipartite_graph.h"
-#include "graph/synthetic.h"
 #include "obs/metrics.h"
 #include "util/cli.h"
 
@@ -45,42 +44,6 @@ void PrintHeader(const std::string& artifact, const std::string& summary,
 /// Returns the graph for `spec`, generating it on first use and caching it
 /// in-process (several harness phases reuse the same dataset).
 const BipartiteGraph& CachedDataset(const DatasetSpec& spec);
-
-// ---- Scale sections (--scale=N,M) ----
-//
-// Every ext_* bench grows a "scale" JSON array when --scale lists edge-draw
-// targets: each entry runs the bench's hot loop on a generated Table 2
-// BX-shaped graph of that size (graph/synthetic.h; cached on disk under
-// DefaultSyntheticCacheDir()), records the graph's shape and degree-skew
-// axes, and emits one canonical `scale_metric` that
-// scripts/check_bench_scale.py diffs across commits.
-
-/// Parses `--scale=100000,1000000` into edge-draw targets; empty when the
-/// flag is absent (scale sections are skipped entirely).
-std::vector<uint64_t> ParseScaleList(const CommandLine& cl);
-
-/// One generated scale dataset plus its provenance.
-struct ScaleDataset {
-  SyntheticSpec spec;
-  BipartiteGraph graph;
-  EdgeCacheEntry cache;
-  double build_seconds = 0.0;
-};
-
-/// The Table 2 BX (Bookcrossing) shape scaled to `target_edges` draws —
-/// the canonical scale-axis graph family. Built through the streamed
-/// builder from the on-disk edge cache.
-ScaleDataset MakeScaleDataset(uint64_t target_edges, double exponent = 2.1,
-                              uint64_t seed = 107);
-
-/// JSON object describing a scale dataset: generator params, realized
-/// shape, per-layer degree skew, and cache provenance.
-std::string GraphShapeJson(const ScaleDataset& dataset);
-
-/// The canonical scale metric object every scale entry carries:
-/// `{"name": ..., "value": ..., "higher_is_better": ...}`.
-std::string ScaleMetricJson(const std::string& name, double value,
-                            bool higher_is_better);
 
 // ---- Per-phase latency quantiles (obs/metrics.h) ----
 

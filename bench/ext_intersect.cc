@@ -19,9 +19,6 @@
 //                    1048576 = 16Ki words, the dense-AND acceptance cell;
 //                    smoke default 16384)
 //   --reps=N         timed repetitions per kernel (default auto-scaled)
-//   --scale=1e5,1e6  edge-draw targets for the scale section: hub-pair
-//                    intersections over generated BX-shaped graphs at
-//                    exponents 1.7/2.1/3.0 (the degree-skew axis)
 //   --out=path       also write the JSON to a file
 //   --smoke          small CI configuration (fewer reps, small domain)
 //   --self-check     run only the correctness sweep (no timing): every
@@ -623,140 +620,6 @@ int main(int argc, char** argv) {
                  scalar_ns, bitmap_ns,
                  bitmap_ns > 0 ? scalar_ns / bitmap_ns : 0.0);
   }
-
-  // ---- Scale section: real hub views over generated BX-shaped graphs.
-  // ---- The exponent axis varies degree skew (1.7 = heavy hubs, 3.0 =
-  // ---- near-uniform); the hubs' ε = 1 releases are intersected pairwise
-  // ---- in both representations, bitmap ns/pair is the scale metric.
-  json << "  \"scale\": [";
-  {
-    bool first_scale = true;
-    const double scale_epsilon = std::min(options.epsilon, 1.0);
-    const VertexId hubs = smoke ? 8 : 16;
-    // The bitmap AND over a 1e5-draw graph's domain runs in microseconds;
-    // enough repetitions to push each timed loop well past timer and
-    // frequency-scaling noise, or the 20% CI gate flakes.
-    const size_t pair_reps = smoke ? 24 : 48;
-    for (uint64_t target : bench::ParseScaleList(cl)) {
-      for (double exponent : {1.7, 2.1, 3.0}) {
-        const bench::ScaleDataset dataset =
-            bench::MakeScaleDataset(target, exponent);
-        const BipartiteGraph& g = dataset.graph;
-
-        // The `hubs` highest-degree upper vertices: the vertices whose
-        // views the estimators intersect most often.
-        std::vector<VertexId> order(g.NumUpper());
-        for (VertexId v = 0; v < g.NumUpper(); ++v) order[v] = v;
-        std::partial_sort(order.begin(), order.begin() + hubs, order.end(),
-                          [&](VertexId a, VertexId b) {
-                            return g.Degree(Layer::kUpper, a) >
-                                   g.Degree(Layer::kUpper, b);
-                          });
-
-        std::vector<NoisyNeighborSet> sorted_views, bitmap_views;
-        for (VertexId i = 0; i < hubs; ++i) {
-          Rng view_rng = rng.Fork(order[i]);
-          Rng view_rng2 = rng.Fork(order[i]);
-          sorted_views.push_back(
-              ApplyRandomizedResponse(g, {Layer::kUpper, order[i]},
-                                      scale_epsilon, view_rng,
-                                      RrStorage::kSorted));
-          bitmap_views.push_back(
-              ApplyRandomizedResponse(g, {Layer::kUpper, order[i]},
-                                      scale_epsilon, view_rng2,
-                                      RrStorage::kBitmap));
-        }
-
-        const uint64_t pairs = static_cast<uint64_t>(hubs) * (hubs - 1) / 2;
-        // Best-of-reps rather than mean: timing noise on sub-millisecond
-        // sweeps is one-sided (preemption, frequency scaling), and the CI
-        // gate diffs these numbers across runs at a 20% threshold.
-        uint64_t scalar_total = 0, bitmap_total = 0;
-        double scalar_best = 0.0, bitmap_best = 0.0;
-        obs::LatencyHistogram scalar_hist, bitmap_hist;
-        for (size_t rep = 0; rep < pair_reps; ++rep) {
-          scalar_total = 0;
-          Timer timer;
-          for (VertexId a = 0; a < hubs; ++a) {
-            for (VertexId b = a + 1; b < hubs; ++b) {
-              scalar_total += IntersectScalarMerge(
-                  sorted_views[a].SortedMembers(),
-                  sorted_views[b].SortedMembers());
-            }
-          }
-          const double seconds = timer.Seconds();
-          scalar_hist.RecordSeconds(seconds);
-          if (rep == 0 || seconds < scalar_best) scalar_best = seconds;
-        }
-        for (size_t rep = 0; rep < pair_reps; ++rep) {
-          bitmap_total = 0;
-          Timer timer;
-          for (VertexId a = 0; a < hubs; ++a) {
-            for (VertexId b = a + 1; b < hubs; ++b) {
-              bitmap_total += IntersectionSize(bitmap_views[a].View(),
-                                               bitmap_views[b].View());
-            }
-          }
-          const double seconds = timer.Seconds();
-          bitmap_hist.RecordSeconds(seconds);
-          if (rep == 0 || seconds < bitmap_best) bitmap_best = seconds;
-        }
-        (void)scalar_total;
-        (void)bitmap_total;
-
-        // Self-check on the first hub pair: bitmap kernel vs scalar merge
-        // over the decoded members of the same bitmap views.
-        if (hubs >= 2) {
-          const uint64_t want =
-              IntersectScalarMerge(bitmap_views[0].ToSortedVector(),
-                                   bitmap_views[1].ToSortedVector());
-          const uint64_t got = IntersectionSize(bitmap_views[0].View(),
-                                                bitmap_views[1].View());
-          if (want != got) {
-            std::fprintf(stderr,
-                         "SELF-CHECK FAILED: scale %llu exp %.1f hub pair "
-                         "bitmap %llu != scalar %llu\n",
-                         static_cast<unsigned long long>(target), exponent,
-                         static_cast<unsigned long long>(got),
-                         static_cast<unsigned long long>(want));
-            g_self_check_ok = false;
-          }
-        }
-
-        const double scalar_ns =
-            scalar_best * 1e9 / static_cast<double>(pairs);
-        const double bitmap_ns =
-            bitmap_best * 1e9 / static_cast<double>(pairs);
-        std::fprintf(stderr,
-                     "scale %llu exp %.1f: scalar %.0f ns/pair, bitmap "
-                     "%.0f ns/pair\n",
-                     static_cast<unsigned long long>(target), exponent,
-                     scalar_ns, bitmap_ns);
-
-        obs::MetricsSnapshot sweep_metrics;
-        sweep_metrics.phases.push_back(
-            obs::MakePhaseStats("scalar_sweep", scalar_hist.Snapshot()));
-        sweep_metrics.phases.push_back(
-            obs::MakePhaseStats("bitmap_sweep", bitmap_hist.Snapshot()));
-        if (!first_scale) json << ",";
-        first_scale = false;
-        json << "\n    {\"shape\": " << bench::GraphShapeJson(dataset)
-             << ",\n     \"epsilon\": " << scale_epsilon
-             << ", \"hubs\": " << hubs << ", \"pairs\": " << pairs
-             << ", \"simd_level\": \"" << SimdLevelName(ActiveSimdLevel())
-             << "\", \"scalar_ns_per_pair\": " << scalar_ns
-             << ", \"bitmap_ns_per_pair\": " << bitmap_ns
-             << ", \"speedup\": "
-             << (bitmap_ns > 0 ? scalar_ns / bitmap_ns : 0.0)
-             << ",\n     \"phases\": "
-             << bench::PhasesJson(sweep_metrics, "     ")
-             << ",\n     \"scale_metric\": "
-             << bench::ScaleMetricJson("bitmap_ns_per_pair", bitmap_ns, false)
-             << "}";
-      }
-    }
-  }
-  json << "\n  ],\n";
 
   json << "  \"self_check_passed\": " << (g_self_check_ok ? "true" : "false")
        << "\n}\n";

@@ -1,7 +1,8 @@
 // User-page analysis from the paper's introduction: project a user-page
 // bipartite graph onto the user layer (connect users co-editing enough
-// pages) under edge LDP, and report projection quality plus the graph's
-// butterfly statistics.
+// pages) under edge LDP, answered by a OneR query service, and report
+// projection quality, the ε the service charged each user, and the
+// graph's butterfly statistics.
 //
 //   ./wiki_projection [--users=400 --pages=1500 --edits=12000]
 //                     [--threshold=3] [--epsilon=8] [--seed=9]
@@ -11,7 +12,6 @@
 
 #include "apps/butterfly.h"
 #include "apps/projection.h"
-#include "core/multir_ds.h"
 #include "graph/generators.h"
 #include "util/cli.h"
 
@@ -24,7 +24,8 @@ int main(int argc, char** argv) {
   const uint64_t edits = static_cast<uint64_t>(cl.GetInt("edits", 12000));
   const double threshold = cl.GetDouble("threshold", 3.0);
   const double epsilon = cl.GetDouble("epsilon", 8.0);
-  Rng rng(static_cast<uint64_t>(cl.GetInt("seed", 9)));
+  const uint64_t seed = static_cast<uint64_t>(cl.GetInt("seed", 9));
+  Rng rng(seed);
 
   const BipartiteGraph graph =
       ChungLuPowerLaw(users, pages, edits, 2.1, rng);
@@ -35,8 +36,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(ExactCaterpillars(graph)),
               BipartiteClusteringCoefficient(graph));
 
-  // Candidate pairs: restrict to the most active users so each user's
-  // exposure (number of C2 protocols it joins) stays small.
+  // Candidate pairs: every pair of the most active users.
   std::vector<VertexId> active;
   for (VertexId u = 0; u < users && active.size() < 25; ++u) {
     if (graph.Degree(Layer::kUpper, u) >= 8) active.push_back(u);
@@ -48,19 +48,26 @@ int main(int argc, char** argv) {
     }
   }
   std::printf("projecting %zu active users (%zu candidate pairs), "
-              "threshold C2 >= %.0f, eps=%.1f per pair\n",
+              "threshold C2 >= %.0f, eps=%.1f per release\n",
               active.size(), candidates.size(), threshold, epsilon);
 
   const auto exact = ExactProjection(graph, candidates, threshold);
-  auto estimator = MakeMultiRDSStar();
-  const auto priv = PrivateProjection(graph, candidates, threshold,
-                                      *estimator, epsilon, rng);
+  ServiceOptions options;
+  options.algorithm = ServiceAlgorithm::kOneR;
+  options.epsilon = epsilon;
+  options.seed = seed;
+  QueryService service(graph, options);
+  const auto priv = ServiceProjection(service, candidates, threshold);
   const ProjectionQuality q = CompareProjections(exact, priv);
 
   std::printf("\nexact projection: %zu edges; private projection: %zu "
               "edges\n", exact.size(), priv.size());
   std::printf("precision=%.3f recall=%.3f f1=%.3f\n", q.precision, q.recall,
               q.f1);
+  const BudgetLedger& ledger = service.ledger();
+  std::printf("eps charged: at most %.2f per user over %llu users\n",
+              ledger.lifetime_budget() - ledger.MinRemaining(),
+              static_cast<unsigned long long>(ledger.NumChargedVertices()));
   std::printf(
       "\nThe projection is computed without any user revealing which pages\n"
       "they actually edited; thresholding the noisy counts is free\n"

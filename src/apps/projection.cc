@@ -4,7 +4,6 @@
 #include <unordered_set>
 
 #include "graph/set_ops.h"
-#include "util/logging.h"
 
 namespace cne {
 
@@ -70,22 +69,6 @@ std::vector<ProjectionEdge> ExactProjectionAllPairs(
       edges.push_back({static_cast<VertexId>(key >> 32),
                        static_cast<VertexId>(key & 0xffffffffu),
                        static_cast<double>(count)});
-    }
-  }
-  return edges;
-}
-
-std::vector<ProjectionEdge> PrivateProjection(
-    const BipartiteGraph& graph, const std::vector<QueryPair>& candidates,
-    double threshold, const CommonNeighborEstimator& estimator,
-    double epsilon_per_pair, Rng& rng) {
-  CNE_CHECK(epsilon_per_pair > 0.0) << "privacy budget must be positive";
-  std::vector<ProjectionEdge> edges;
-  for (const QueryPair& pair : candidates) {
-    const double estimate =
-        estimator.Estimate(graph, pair, epsilon_per_pair, rng).estimate;
-    if (estimate >= threshold) {
-      edges.push_back({pair.u, pair.w, estimate});
     }
   }
   return edges;

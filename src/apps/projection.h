@@ -1,21 +1,17 @@
 // Bipartite graph projection — another motivating task from the paper's
 // introduction. The projection onto one layer connects two vertices when
 // their common-neighbor count reaches a threshold; the private variant
-// replaces the exact counts by LDP estimates.
-//
-// The private projection runs one C2 protocol per candidate pair with
-// budget ε / (pairs involving a vertex); for the candidate lists used
-// here (explicit pair sets), the caller controls each vertex's exposure.
+// replaces the exact counts by LDP estimates answered by a QueryService,
+// so each vertex's exposure is its one shared release however many
+// candidate pairs it joins.
 
 #ifndef CNE_APPS_PROJECTION_H_
 #define CNE_APPS_PROJECTION_H_
 
 #include <vector>
 
-#include "core/estimator.h"
 #include "graph/bipartite_graph.h"
 #include "service/query_service.h"
-#include "util/rng.h"
 
 namespace cne {
 
@@ -41,15 +37,6 @@ std::vector<ProjectionEdge> ExactProjection(
 /// Suitable for small-to-medium graphs.
 std::vector<ProjectionEdge> ExactProjectionAllPairs(
     const BipartiteGraph& graph, Layer layer, double threshold);
-
-/// Private projection: estimates C2 for each candidate pair with
-/// `epsilon_per_pair` and keeps pairs whose estimate clears the threshold.
-/// Thresholding is post-processing, so each pair's privacy cost is exactly
-/// the estimator's.
-std::vector<ProjectionEdge> PrivateProjection(
-    const BipartiteGraph& graph, const std::vector<QueryPair>& candidates,
-    double threshold, const CommonNeighborEstimator& estimator,
-    double epsilon_per_pair, Rng& rng);
 
 /// Service-backed private projection: answers every candidate pair through
 /// `service` — one shared release per distinct vertex instead of one full

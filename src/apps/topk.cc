@@ -21,28 +21,6 @@ void SortAndTruncate(std::vector<ScoredVertex>& scored, size_t k) {
 
 }  // namespace
 
-TopKResult PrivateTopKCommonNeighbors(
-    const BipartiteGraph& graph, const CommonNeighborEstimator& estimator,
-    LayeredVertex source, const std::vector<VertexId>& candidates, size_t k,
-    double epsilon, Rng& rng) {
-  CNE_CHECK(!candidates.empty()) << "no candidates";
-  CNE_CHECK(epsilon > 0.0) << "privacy budget must be positive";
-  TopKResult result;
-  result.epsilon_per_candidate =
-      epsilon / static_cast<double>(candidates.size());
-  result.ranked.reserve(candidates.size());
-  for (VertexId candidate : candidates) {
-    if (candidate == source.id) continue;
-    const QueryPair query{source.layer, source.id, candidate};
-    const double score =
-        estimator.Estimate(graph, query, result.epsilon_per_candidate, rng)
-            .estimate;
-    result.ranked.push_back({candidate, score});
-  }
-  SortAndTruncate(result.ranked, k);
-  return result;
-}
-
 TopKResult ServiceTopKCommonNeighbors(QueryService& service,
                                       LayeredVertex source,
                                       const std::vector<VertexId>& candidates,

@@ -1,16 +1,13 @@
 // Private top-k common-neighbor search: given a source vertex, rank a set
 // of same-layer candidates by their estimated common-neighbor count with
-// the source under a total privacy budget (split evenly across the
-// candidate protocols by sequential composition over the source's
-// neighbor list).
+// the source, answered by a QueryService (each vertex releases its noisy
+// neighbor list once; the ranking is post-processing).
 
 #ifndef CNE_APPS_TOPK_H_
 #define CNE_APPS_TOPK_H_
 
-#include <memory>
 #include <vector>
 
-#include "core/estimator.h"
 #include "service/query_service.h"
 
 namespace cne {
@@ -26,19 +23,6 @@ struct TopKResult {
   std::vector<ScoredVertex> ranked;  ///< best k candidates, descending
   double epsilon_per_candidate = 0.0;
 };
-
-/// Runs the C2 protocol between `source` and every candidate with budget
-/// ε / |candidates| each (sequential composition bounds the source's total
-/// leakage by ε) and returns the k highest estimates.
-///
-/// This is the per-pair path: every candidate pays a full protocol
-/// execution (fresh releases from both vertices). Prefer
-/// ServiceTopKCommonNeighbors, which shares one release per distinct
-/// vertex across the whole candidate set.
-TopKResult PrivateTopKCommonNeighbors(
-    const BipartiteGraph& graph, const CommonNeighborEstimator& estimator,
-    LayeredVertex source, const std::vector<VertexId>& candidates, size_t k,
-    double epsilon, Rng& rng);
 
 /// Service-backed top-k: submits the 1×N workload (source vs every
 /// candidate) to `service` and ranks the answers. Each distinct vertex

@@ -1,6 +1,8 @@
 #include "util/cli.h"
 
+#include <cerrno>
 #include <cstdlib>
+#include <stdexcept>
 
 namespace cne {
 
@@ -34,20 +36,37 @@ std::string CommandLine::GetString(const std::string& name,
   return it == flags_.end() ? def : it->second;
 }
 
+namespace {
+
+// Parses the whole of `value` with `parse` (strtoll/strtod style); throws
+// naming the flag when any of it is left over, it is empty or out of range.
+template <typename T, typename Parse>
+T ParseNumber(const std::string& name, const std::string& value,
+              Parse parse) {
+  char* end = nullptr;
+  errno = 0;
+  const T v = parse(value.c_str(), &end);
+  if (value.empty() || *end != '\0' || errno == ERANGE) {
+    throw std::invalid_argument("--" + name + ": cannot parse '" + value +
+                                "' as a number");
+  }
+  return v;
+}
+
+}  // namespace
+
 long long CommandLine::GetInt(const std::string& name, long long def) const {
   auto it = flags_.find(name);
-  if (it == flags_.end() || it->second.empty()) return def;
-  char* end = nullptr;
-  const long long v = std::strtoll(it->second.c_str(), &end, 10);
-  return (end && *end == '\0') ? v : def;
+  if (it == flags_.end()) return def;
+  return ParseNumber<long long>(
+      name, it->second,
+      [](const char* s, char** end) { return std::strtoll(s, end, 10); });
 }
 
 double CommandLine::GetDouble(const std::string& name, double def) const {
   auto it = flags_.find(name);
-  if (it == flags_.end() || it->second.empty()) return def;
-  char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  return (end && *end == '\0') ? v : def;
+  if (it == flags_.end()) return def;
+  return ParseNumber<double>(name, it->second, std::strtod);
 }
 
 bool CommandLine::GetBool(const std::string& name, bool def) const {

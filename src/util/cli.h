@@ -1,6 +1,6 @@
 // Minimal command-line flag parsing for the bench harnesses and examples.
 // Flags take the forms `--name=value` and `--name value`; bare `--name` is a
-// boolean true.
+// boolean true. Numeric getters refuse values they cannot parse.
 
 #ifndef CNE_UTIL_CLI_H_
 #define CNE_UTIL_CLI_H_
@@ -23,10 +23,13 @@ class CommandLine {
   std::string GetString(const std::string& name,
                         const std::string& def = "") const;
 
-  /// Integer value of a flag, or `def` when absent or unparsable.
+  /// Integer value of a flag, or `def` when absent. Throws
+  /// std::invalid_argument naming the flag and the value when the value is
+  /// empty, has trailing characters ("2x") or is out of range: a typo must
+  /// never turn into the default (say, a larger privacy budget).
   long long GetInt(const std::string& name, long long def) const;
 
-  /// Double value of a flag, or `def` when absent or unparsable.
+  /// Double value of a flag, or `def` when absent; throws like GetInt.
   double GetDouble(const std::string& name, double def) const;
 
   /// Boolean value: present without value or with "1"/"true" -> true.

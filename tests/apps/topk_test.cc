@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/central_dp.h"
 #include "graph/graph_builder.h"
 
 namespace cne {
@@ -43,31 +42,6 @@ TEST(ExactTopKTest, KLargerThanCandidates) {
   const TopKResult r = ExactTopKCommonNeighbors(
       g, {Layer::kLower, 0}, {1, 2}, 10);
   EXPECT_EQ(r.ranked.size(), 2u);
-}
-
-TEST(PrivateTopKTest, SplitsBudgetAcrossCandidates) {
-  const BipartiteGraph g = MakeRankedFixture();
-  CentralDpEstimator central;
-  Rng rng(1);
-  const TopKResult r = PrivateTopKCommonNeighbors(
-      g, central, {Layer::kLower, 0}, {1, 2, 3, 4}, 2, 8.0, rng);
-  EXPECT_DOUBLE_EQ(r.epsilon_per_candidate, 2.0);
-  EXPECT_EQ(r.ranked.size(), 2u);
-}
-
-TEST(PrivateTopKTest, HighBudgetRecoversExactRanking) {
-  const BipartiteGraph g = MakeRankedFixture();
-  CentralDpEstimator central;
-  Rng rng(2);
-  int perfect = 0;
-  const TopKResult exact = ExactTopKCommonNeighbors(
-      g, {Layer::kLower, 0}, {1, 2, 3, 4}, 2);
-  for (int t = 0; t < 100; ++t) {
-    const TopKResult priv = PrivateTopKCommonNeighbors(
-        g, central, {Layer::kLower, 0}, {1, 2, 3, 4}, 2, 400.0, rng);
-    perfect += TopKRecall(exact, priv) == 1.0;
-  }
-  EXPECT_GT(perfect, 95);
 }
 
 TEST(ServiceTopKTest, HighBudgetRecoversExactRankingOverSharedViews) {
@@ -123,13 +97,14 @@ TEST(TopKRecallTest, Values) {
   EXPECT_DOUBLE_EQ(TopKRecall(exact, est), 1.0);
 }
 
-TEST(PrivateTopKDeathTest, RejectsEmptyCandidates) {
+TEST(ServiceTopKDeathTest, RejectsEmptyCandidates) {
   const BipartiteGraph g = MakeRankedFixture();
-  CentralDpEstimator central;
-  Rng rng(3);
-  EXPECT_DEATH(PrivateTopKCommonNeighbors(g, central, {Layer::kLower, 0}, {},
-                                          2, 1.0, rng),
-               "candidates");
+  EXPECT_DEATH(
+      {
+        QueryService service(g, ServiceOptions{});
+        ServiceTopKCommonNeighbors(service, {Layer::kLower, 0}, {}, 2);
+      },
+      "candidates");
 }
 
 }  // namespace

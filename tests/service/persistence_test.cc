@@ -111,40 +111,56 @@ constexpr ServiceAlgorithm kAllAlgorithms[] = {
 TEST(PersistenceTest, KillRestoreRoundTripIsByteIdenticalForAllProtocols) {
   const BipartiteGraph g = TestGraph();
   const auto w1 = Workload(g, 100, 1);
-  const auto w2 = Workload(g, 80, 2);
   const auto w3 = Workload(g, 120, 3);
+  Rng upper_rng(2);
+  // The second input sends the post-checkpoint batch to the other layer,
+  // so every release it makes is fresh and lives only in the WAL, and
+  // checkpoints twice in a row.
+  const struct {
+    std::vector<QueryPair> w2;
+    int checkpoints;
+    const char* name;
+  } inputs[] = {
+      {Workload(g, 80, 2), 1, "same_layer"},
+      {MakeHotSetWorkload(g, Layer::kUpper, 80, 8, upper_rng), 2,
+       "other_layer"}};
 
-  for (ServiceAlgorithm algorithm : kAllAlgorithms) {
-    const std::string label = ToString(algorithm);
-    const std::string dir = FreshDir("roundtrip_" + label);
+  for (const auto& [w2, checkpoints, name] : inputs) {
+    for (ServiceAlgorithm algorithm : kAllAlgorithms) {
+      const std::string label = std::string(ToString(algorithm)) + " " + name;
+      const std::string dir =
+          FreshDir("roundtrip_" + std::string(ToString(algorithm)) + name);
 
-    // The uninterrupted reference run.
-    QueryService reference(g, MakeOptions(algorithm));
-    reference.Submit(w1);
-    reference.Submit(w2);
+      // The uninterrupted reference run.
+      QueryService reference(g, MakeOptions(algorithm));
+      reference.Submit(w1);
+      reference.Submit(w2);
 
-    {
-      QueryService service(g, MakeOptions(algorithm, dir));
-      service.Submit(w1);
-      service.Checkpoint();         // snapshot holds w1's state
-      service.Submit(w2);           // w2 lives only in the WAL
-    }                               // kill: no final checkpoint
+      {
+        QueryService service(g, MakeOptions(algorithm, dir));
+        service.Submit(w1);
+        for (int c = 0; c < checkpoints; ++c) {
+          service.Checkpoint();       // snapshot holds w1's state
+        }
+        service.Submit(w2);           // w2 lives only in the WAL
+      }                               // kill: no final checkpoint
 
-    QueryService restored(g, MakeOptions(algorithm, dir));
-    EXPECT_TRUE(restored.recovery().snapshot_loaded) << label;
-    EXPECT_GT(restored.recovery().wal_replay_records, 0u) << label;
-    EXPECT_FALSE(restored.recovery().wal_torn_tail) << label;
-    ExpectSameLedgers(reference.ledger(), restored.ledger(), label);
+      QueryService restored(g, MakeOptions(algorithm, dir));
+      EXPECT_TRUE(restored.recovery().snapshot_loaded) << label;
+      EXPECT_GT(restored.recovery().wal_replay_records, 0u) << label;
+      EXPECT_FALSE(restored.recovery().wal_torn_tail) << label;
+      ExpectSameLedgers(reference.ledger(), restored.ledger(), label);
 
-    const ServiceReport ref3 = reference.Submit(w3);
-    const ServiceReport got3 = restored.Submit(w3);
-    ExpectSameAnswers(ref3, got3, label);
-    ExpectSameLedgers(reference.ledger(), restored.ledger(),
-                      label + " after w3");
-    // Zero re-randomized views: every view both services hold is
-    // bit-for-bit the view released before the crash.
-    ExpectSameViews(g, reference.store(), restored.store(), label);
-    EXPECT_EQ(ref3.store.releases, got3.store.releases) << label;
+      const ServiceReport ref3 = reference.Submit(w3);
+      const ServiceReport got3 = restored.Submit(w3);
+      ExpectSameAnswers(ref3, got3, label);
+      ExpectSameLedgers(reference.ledger(), restored.ledger(),
+                        label + " after w3");
+      // Zero re-randomized views: every view both services hold is
+      // bit-for-bit the view released before the crash.
+      ExpectSameViews(g, reference.store(), restored.store(), label);
+      EXPECT_EQ(ref3.store.releases, got3.store.releases) << label;
+    }
   }
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 namespace cne {
 namespace {
 
@@ -36,9 +38,22 @@ TEST(CommandLineTest, DefaultsWhenAbsent) {
   EXPECT_EQ(cl.GetString("s", "d"), "d");
 }
 
-TEST(CommandLineTest, UnparsableFallsBackToDefault) {
-  const CommandLine cl = Parse({"--n=abc"});
-  EXPECT_EQ(cl.GetInt("n", 9), 9);
+TEST(CommandLineTest, UnparsableNumbersAreRefused) {
+  // "0,5" is a locale-style typo of 0.5: falling back to the default would
+  // release at a larger epsilon than the one typed.
+  const CommandLine cl = Parse({"--n=abc", "--epsilon=0,5", "--k=2x",
+                                "--x=2x", "--bare", "--huge=1e999"});
+  EXPECT_THROW(cl.GetInt("n", 9), std::invalid_argument);
+  EXPECT_THROW(cl.GetDouble("epsilon", 2.0), std::invalid_argument);
+  EXPECT_THROW(cl.GetInt("k", 1), std::invalid_argument);
+  EXPECT_THROW(cl.GetDouble("x", 1.0), std::invalid_argument);
+  EXPECT_THROW(cl.GetInt("bare", 1), std::invalid_argument);
+  EXPECT_THROW(cl.GetDouble("huge", 1.0), std::invalid_argument);
+  try {
+    cl.GetDouble("epsilon", 2.0);
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "--epsilon: cannot parse '0,5' as a number");
+  }
 }
 
 TEST(CommandLineTest, PositionalArguments) {

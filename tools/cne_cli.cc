@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <iostream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "core/central_dp.h"
@@ -164,6 +165,9 @@ int main(int argc, char** argv) {
     if (command == "stats") return CmdStats(cl);
     if (command == "estimate") return CmdEstimate(cl);
     if (command == "experiment") return CmdExperiment(cl);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

@@ -16,11 +16,12 @@
 // --preset names a Table 2 dataset code (eval/datasets.h); its generated
 // shape becomes the spec. --scale-edges rescales any shape to a target
 // draw count (edges linear, vertices by sqrt — density-preserving).
-// Exit code 0 on success, 1 on bad flags or IO failure.
+// Exit code 0 on success, 2 on a numeric flag that does not parse, 1 on
+// other bad flags or IO failure.
 
 #include <chrono>
 #include <cstdio>
-#include <exception>
+#include <stdexcept>
 #include <string>
 
 #include "eval/datasets.h"
@@ -146,6 +147,9 @@ int main(int argc, char** argv) {
       std::printf("wrote %s (%s)\n", out.c_str(), format.c_str());
     }
     return 0;
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "cne_gen: %s\n", e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "cne_gen: %s\n", e.what());
     return 1;

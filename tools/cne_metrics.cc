@@ -14,7 +14,7 @@
 // counter; phases or counters present on only one side are listed as
 // added/removed. Exit status: 0 on success, 2 on unreadable or malformed
 // input. The diff never fails the process — it is a triage lens, not a CI
-// gate (scripts/check_bench_scale.py gates).
+// gate (scripts/check_perfbench.py gates the per-layer perf).
 //
 // Tolerance: snapshots from different builds or metrics levels disagree
 // on shape — a counters-only snapshot has no "phases", an older build may

@@ -53,7 +53,8 @@
 // ARCHITECTURE.md, "Failure model & degradation"); the run keeps serving
 // read-only when the journal fails instead of dying.
 //
-// Exit codes: 0 success; 1 runtime error; 2 usage error; 3 finished but
+// Exit codes: 0 success; 1 runtime error; 2 usage error (including a
+// numeric flag that does not parse, such as --epsilon=0,5); 3 finished but
 // the service degraded to read-only; 4 the service failed mid-execution;
 // 5 finished healthy but a checkpoint could not be written.
 
@@ -63,6 +64,7 @@
 #include <iostream>
 #include <iterator>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -398,6 +400,9 @@ int main(int argc, char** argv) {
         break;
     }
     return checkpoint_failed ? 5 : 0;
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

@@ -21,6 +21,7 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -277,6 +278,9 @@ int main(int argc, char** argv) {
     }
     if (json) std::printf("}\n");
     return 0;
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

@@ -13,15 +13,16 @@
 // same invariant scripts/check_trace_json.py gates in CI — and prints the
 // spans indented by depth in timestamp order.
 //
-// Exit status: 0 on success, 2 when the file is unreadable, not JSON, or
-// not a Chrome trace document (no "traceEvents" array, or an event
-// missing name/ts/dur/tid).
+// Exit status: 0 on success, 2 when --submit does not parse or the file is
+// unreadable, not JSON, or not a Chrome trace document (no "traceEvents"
+// array, or an event missing name/ts/dur/tid).
 
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -179,6 +180,13 @@ void PrintTree(const std::vector<Span>& spans) {
 int main(int argc, char** argv) {
   const CommandLine cl(argc, argv);
   if (cl.positional().size() != 1) return Usage();
+  long long wanted = 0;
+  try {
+    wanted = cl.GetInt("submit", 0);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
 
   std::vector<Span> spans;
   if (!LoadSpans(cl.positional()[0], &spans)) return 2;
@@ -187,7 +195,6 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (cl.Has("submit")) {
-    const long long wanted = cl.GetInt("submit", 0);
     std::vector<Span> filtered;
     for (Span& s : spans) {
       if (s.submit == wanted) filtered.push_back(std::move(s));

@@ -7,6 +7,7 @@
 //   ./gen_sample_data [--out=data/sample_userpage.txt] [--seed=1]
 
 #include <cstdio>
+#include <stdexcept>
 
 #include "graph/generators.h"
 #include "graph/graph_io.h"
@@ -18,7 +19,14 @@ using namespace cne;
 int main(int argc, char** argv) {
   const CommandLine cl(argc, argv);
   const std::string out = cl.GetString("out", "data/sample_userpage.txt");
-  Rng rng(static_cast<uint64_t>(cl.GetInt("seed", 1)));
+  uint64_t seed = 1;
+  try {
+    seed = static_cast<uint64_t>(cl.GetInt("seed", 1));
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
+  Rng rng(seed);
 
   // 120 users x 300 pages, power-law degrees; with seed 1 the dedup'd
   // graph has exactly 1400 edges (the shape sample_data_test.cc expects).
