@@ -3,7 +3,8 @@
 // every applicable kernel on each configuration — the word kernels once
 // per ISA level this machine can execute (ForceSimdLevel) — then times
 // the end-to-end regime the estimators live in: ε-RR releases of the
-// committed sample graph, intersected pairwise in both representations.
+// committed sample graph, intersected pairwise as bitmaps and, decoded,
+// by the scalar merge.
 // Emits machine-readable JSON (stdout; progress to stderr) so CI can
 // archive a perf trajectory across commits (BENCH_intersect.json).
 //
@@ -11,8 +12,8 @@
 // scalar merge on the same inputs; any disagreement makes the process
 // exit non-zero, so the CI bench run doubles as a correctness gate. Each
 // cell also records how far the dispatcher landed from the best kernel
-// applicable to the auto-storage representations (`auto_gap`; 1.0 =
-// picked the best).
+// applicable to the cell's representations (`auto_gap`; 1.0 = picked the
+// best).
 //
 // Extra flags on top of the shared bench set:
 //   --domains=N,M    id-domains of the synthetic sweep (default 65536 and
@@ -389,10 +390,13 @@ int main(int argc, char** argv) {
        << "  \"grid\": [\n";
 
   // Density × skew sweep. density_b / density_a is the size skew; the
-  // 0.27-ish densities are the ε = 1 noisy-row regime. The last four
-  // cells are skewed pairs below kBitmapDensityThreshold, so both sides
-  // stay sorted and the cell measures the merge/galloping choice (size
-  // ratios about 4, 10, 10 and 50).
+  // 0.27-ish densities are the ε = 1 noisy-row regime. A side below
+  // kSortedBelow is handed to the dispatcher as a sorted id list (a true
+  // neighbour list, as exact C2 and MultiR intersect), a denser side as a
+  // bitmap (a noisy view). The last four cells are skewed pairs with both
+  // sides sorted, so they measure the merge/galloping choice (size ratios
+  // about 4, 10, 10 and 50).
+  constexpr double kSortedBelow = 1.0 / 128.0;
   const std::vector<std::pair<double, double>> grid = {
       {0.001, 0.001},  {0.01, 0.01},    {0.1, 0.1},      {0.27, 0.27},
       {0.5, 0.5},      {0.001, 0.27},   {0.001, 0.5},    {0.01, 0.27},
@@ -437,16 +441,16 @@ int main(int argc, char** argv) {
       results.push_back(TimeKernel("probe_bitmap", reps, [&] {
         return IntersectProbeBitmap(a, bb);
       }));
-      // The dispatcher over the representations kAuto storage would pick
-      // for each side (bitmap at and above the density threshold).
-      const SetView auto_a = da >= kBitmapDensityThreshold ? va : sa;
-      const SetView auto_b = db >= kBitmapDensityThreshold ? vb : sb;
+      // The dispatcher over the cell's representations (bitmap at and
+      // above kSortedBelow).
+      const SetView auto_a = da >= kSortedBelow ? va : sa;
+      const SetView auto_b = db >= kSortedBelow ? vb : sb;
       results.push_back(TimeKernel("dispatch_auto", reps, [&] {
         return IntersectionSize(auto_a, auto_b);
       }));
       results.back().simd_level = SimdLevelName(detected);
 
-      // Best kernel the dispatcher could have run for the auto
+      // Best kernel the dispatcher could have run for the cell's
       // representations, picked from the rows just measured (bitmap_and
       // counted at the detected level only — the level dispatch actually
       // runs) ...
@@ -528,15 +532,15 @@ int main(int argc, char** argv) {
     const double epsilon = std::min(options.epsilon, 1.0);
     const VertexId n = std::min<VertexId>(graph.NumUpper(), smoke ? 60 : 120);
 
-    std::vector<NoisyNeighborSet> sorted_views, bitmap_views;
+    // The scalar merge runs over the decoded members of the same views.
+    std::vector<NoisyNeighborSet> views;
+    std::vector<std::vector<VertexId>> members;
     for (VertexId u = 0; u < n; ++u) {
       Rng view_rng = rng.Fork(u);
-      Rng view_rng2 = rng.Fork(u);
-      sorted_views.push_back(ApplyRandomizedResponse(
-          graph, {Layer::kUpper, u}, epsilon, view_rng, RrStorage::kSorted));
-      bitmap_views.push_back(ApplyRandomizedResponse(
-          graph, {Layer::kUpper, u}, epsilon, view_rng2,
-          RrStorage::kBitmap));
+      views.push_back(
+          ApplyRandomizedResponse(graph, {Layer::kUpper, u}, epsilon,
+                                  view_rng));
+      members.push_back(views.back().SortedMembers());
     }
 
     const size_t pair_reps = smoke ? 3 : 10;
@@ -551,9 +555,7 @@ int main(int argc, char** argv) {
       const uint64_t t0 = obs::NowNanos();
       for (VertexId u = 0; u < n; ++u) {
         for (VertexId w = u + 1; w < n; ++w) {
-          scalar_total += IntersectScalarMerge(
-              sorted_views[u].SortedMembers(),
-              sorted_views[w].SortedMembers());
+          scalar_total += IntersectScalarMerge(members[u], members[w]);
         }
       }
       scalar_hist.Record(obs::NowNanos() - t0);
@@ -565,8 +567,7 @@ int main(int argc, char** argv) {
       const uint64_t t0 = obs::NowNanos();
       for (VertexId u = 0; u < n; ++u) {
         for (VertexId w = u + 1; w < n; ++w) {
-          bitmap_total +=
-              IntersectionSize(bitmap_views[u].View(), bitmap_views[w].View());
+          bitmap_total += IntersectionSize(views[u].View(), views[w].View());
         }
       }
       bitmap_hist.Record(obs::NowNanos() - t0);
@@ -577,12 +578,10 @@ int main(int argc, char** argv) {
     // Self-check on real releases: for every pair, the bitmap kernel must
     // equal the scalar merge over the decoded members of the same views.
     for (VertexId u = 0; u < n && g_self_check_ok; ++u) {
-      const std::vector<VertexId> mu = bitmap_views[u].ToSortedVector();
       for (VertexId w = u + 1; w < n; ++w) {
-        const std::vector<VertexId> mw = bitmap_views[w].ToSortedVector();
-        const uint64_t want = IntersectScalarMerge(mu, mw);
-        const uint64_t got = IntersectionSize(bitmap_views[u].View(),
-                                              bitmap_views[w].View());
+        const uint64_t want = IntersectScalarMerge(members[u], members[w]);
+        const uint64_t got =
+            IntersectionSize(views[u].View(), views[w].View());
         if (want != got) {
           std::fprintf(stderr,
                        "SELF-CHECK FAILED: sample pair (%u, %u) bitmap %llu "

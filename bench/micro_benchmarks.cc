@@ -1,6 +1,6 @@
 // Google-benchmark micro-benchmarks of the substrate: the adaptive
 // set-intersection kernels (scalar merge, galloping, bitmap AND, probe),
-// sparse and bitmap randomized response, graph generation, and end-to-end
+// randomized response, graph generation, and end-to-end
 // estimator latency on the rmwiki analog.
 
 #include <benchmark/benchmark.h>
@@ -101,31 +101,18 @@ void BM_IntersectGallopingSkewed(benchmark::State& state) {
 }
 BENCHMARK(BM_IntersectGallopingSkewed)->Range(1 << 8, 1 << 16);
 
-void BM_RandomizedResponseBitmap(benchmark::State& state) {
-  const VertexId domain = static_cast<VertexId>(state.range(0));
-  Rng gen(2);
-  const BipartiteGraph g = ErdosRenyiBipartite(1, domain, domain / 100, gen);
-  Rng rng(3);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ApplyRandomizedResponse(
-        g, {Layer::kUpper, 0}, 1.0, rng, RrStorage::kBitmap));
-  }
-  state.SetItemsProcessed(state.iterations() * domain);
-}
-BENCHMARK(BM_RandomizedResponseBitmap)->Range(1 << 10, 1 << 20);
-
-void BM_RandomizedResponseSparse(benchmark::State& state) {
+void BM_RandomizedResponse(benchmark::State& state) {
   const VertexId domain = static_cast<VertexId>(state.range(0));
   Rng gen(2);
   const BipartiteGraph g = ErdosRenyiBipartite(1, domain, domain / 100, gen);
   Rng rng(3);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        ApplyRandomizedResponse(g, {Layer::kUpper, 0}, 2.0, rng));
+        ApplyRandomizedResponse(g, {Layer::kUpper, 0}, 1.0, rng));
   }
   state.SetItemsProcessed(state.iterations() * domain);
 }
-BENCHMARK(BM_RandomizedResponseSparse)->Range(1 << 10, 1 << 20);
+BENCHMARK(BM_RandomizedResponse)->Range(1 << 10, 1 << 20);
 
 void BM_ChungLuGeneration(benchmark::State& state) {
   const uint64_t edges = static_cast<uint64_t>(state.range(0));

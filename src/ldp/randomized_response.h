@@ -2,29 +2,21 @@
 //
 // Given privacy budget ε, every bit of a vertex's neighbor list is flipped
 // independently with probability p = 1 / (1 + e^ε): the release is the
-// adjacency row XOR an iid Bernoulli(p) flip mask. Two exact samplers
-// realize that law, one per storage mode:
+// adjacency row XOR an iid Bernoulli(p) flip mask, stored as a packed
+// bitmap over the opposite layer. The flip mask is built 64 lanes at a
+// time (BernoulliMaskWord): every lane compares its own 53-bit uniform
+// against the threshold t = ⌈p·2⁵³⌉ most significant bit first, and one
+// random word supplies the next bit of all 64 lanes at once, so a word of
+// mask costs ~7 draws at ε = 1 instead of 64. Each lane's law is exactly
+// the per-bit test NextDouble() < p. The true neighbors are then XORed
+// in, O(n/64 + d) in all.
 //
-//   * Bitmap (dense regime). The flip mask is built 64 lanes at a time
-//     (BernoulliMaskWord): every lane compares its own 53-bit uniform
-//     against the threshold t = ⌈p·2⁵³⌉ most significant bit first, and
-//     one random word supplies the next bit of all 64 lanes at once, so a
-//     word of mask costs ~7 draws instead of 64. Each lane's law is
-//     exactly the per-bit test NextDouble() < p. The true neighbors are
-//     then XORed in, O(n/64 + d) in all.
-//   * Sorted (sparse regime). Each true neighbor survives with probability
-//     1 - p, and the flipped-in non-neighbors are the successes of a
-//     Bernoulli(p) process over the n - d non-neighbor positions, visited
-//     in increasing order by Geometric(p) skip sampling: O(d + pn).
+// At the paper's ε (1 to 3) the noisy row is dense (expected density
+// d/n (1-p) + (1-d/n) p ≥ p, ~27% at ε = 1), and intersections run
+// through the word-AND and probe kernels of graph/set_ops.h. A view costs
+// n/8 bytes at every ε.
 //
-// At practical ε the noisy row is dense (expected density
-// d/n (1-p) + (1-d/n) p ≥ p, ~27% at ε = 1), so the bitmap mode serves
-// almost every release and intersections run through the word-AND and
-// probe kernels of graph/set_ops.h. The choice is a pure function of
-// (degree, domain, ε), so a release's representation is deterministic and
-// identical across threads.
-//
-// The bytes a sampler releases for a given Rng state are versioned
+// The bytes the sampler releases for a given Rng state are versioned
 // (kRrSamplerVersion): recovery regenerates authorized views from their
 // RNG substream, so a change to them must bump the version.
 
@@ -41,15 +33,18 @@
 
 namespace cne {
 
-/// Version of the bytes the RR samplers release for a given Rng state.
+/// Version of the bytes the RR sampler releases for a given Rng state.
 /// Snapshots and WAL headers record it, and a service refuses to recover
 /// state stamped with another version: regenerating an authorized view
 /// under a different sampler would publish a second, different release of
 /// a vertex whose answers already went out. Bump it with any change to
 /// released bytes.
 ///   1  survivor pass + Binomial count + rejection/Floyd flip placement
-///   2  word-parallel Bernoulli(p) mask XOR the adjacency row
-inline constexpr uint32_t kRrSamplerVersion = 2;
+///   2  word-parallel Bernoulli(p) mask XOR the adjacency row for dense
+///      releases, skip-sampled sorted ids below density 1/128
+///   3  the word-parallel bitmap for every release (version 2's bitmap
+///      bytes unchanged)
+inline constexpr uint32_t kRrSamplerVersion = 3;
 
 /// Flip probability p = 1 / (1 + e^ε) of Warner's randomized response.
 double FlipProbability(double epsilon);
@@ -90,119 +85,66 @@ uint64_t BernoulliMaskWord(uint64_t threshold, WordSource&& next) {
 }
 
 /// The noisy neighbor set of one vertex after randomized response: the set
-/// of opposite-layer vertices whose noisy adjacency bit is 1. Stored either
-/// as a sorted id vector (sparse regime) or a packed bitmap (dense regime);
-/// consumers should intersect through View() and the set_ops dispatcher,
-/// which picks the kernel from the representations.
+/// of opposite-layer vertices whose noisy adjacency bit is 1, stored as a
+/// packed bitmap over the opposite layer. Consumers intersect through
+/// View() and the set_ops dispatcher.
 class NoisyNeighborSet {
  public:
   NoisyNeighborSet() = default;
 
-  /// Sorted-vector mode. `members` need not be sorted; `domain_size` is the
-  /// size of the opposite layer (the length of the perturbed neighbor list).
-  NoisyNeighborSet(std::vector<VertexId> members, VertexId domain_size,
+  /// Packs `members` (any order, duplicates allowed) into a bitmap over
+  /// [0, domain_size), the size of the opposite layer. For test fixtures.
+  NoisyNeighborSet(const std::vector<VertexId>& members, VertexId domain_size,
                    double flip_probability);
 
-  /// Bitmap mode; the domain is `bits.NumBits()`.
+  /// The domain is `bits.NumBits()`.
   NoisyNeighborSet(DenseBitset bits, double flip_probability);
 
-  /// Sorted-vector mode from members already sorted and deduplicated
-  /// (skips the O(k log k) sort of the general constructor).
-  static NoisyNeighborSet FromSortedUnique(std::vector<VertexId> members,
-                                           VertexId domain_size,
-                                           double flip_probability);
-
-  /// True if the noisy bit A'[v] is 1. O(1) in bitmap mode, O(log size)
-  /// in sorted mode.
-  bool Contains(VertexId v) const;
+  /// True if the noisy bit A'[v] is 1.
+  bool Contains(VertexId v) const {
+    return v < bits_.NumBits() && bits_.Test(v);
+  }
 
   /// Number of 1-bits in the noisy row (the vertex's noisy degree).
   size_t Size() const { return size_; }
 
   /// Size of the perturbed domain (opposite-layer vertex count).
-  VertexId DomainSize() const { return domain_size_; }
+  VertexId DomainSize() const { return bits_.NumBits(); }
 
   /// The flip probability the set was generated with.
   double flip_probability() const { return flip_probability_; }
 
-  /// True when the set is stored as a packed bitmap.
-  bool IsBitmap() const { return is_bitmap_; }
+  /// Always true; kept for perfbench's `ldp.rr.bitmap_share`.
+  bool IsBitmap() const { return true; }
 
-  /// Representation-agnostic view for the set_ops intersection dispatcher.
-  SetView View() const;
+  /// The bitmap as a set_ops dispatcher operand.
+  SetView View() const { return SetView::Bitmap(bits_, size_); }
 
-  /// Sorted members of a sorted-mode set; fatal check in bitmap mode
-  /// (use ToSortedVector there). Kept for the sparse-regime consumers and
-  /// tests that want zero-copy access.
-  const std::vector<VertexId>& SortedMembers() const;
-
-  /// Materializes the sorted member list in either mode (decoding a bitmap
-  /// yields ascending ids without sorting).
-  std::vector<VertexId> ToSortedVector() const;
+  /// The members in ascending id order, decoded from the bitmap.
+  std::vector<VertexId> SortedMembers() const;
 
  private:
-  std::vector<VertexId> members_;  // sorted; empty in bitmap mode
-  DenseBitset bits_;               // empty in sorted mode
+  DenseBitset bits_;
   uint64_t size_ = 0;
-  VertexId domain_size_ = 0;
   double flip_probability_ = 0.0;
-  bool is_bitmap_ = false;
 };
 
-/// Storage-mode override for ApplyRandomizedResponse. kAuto picks the
-/// bitmap when the expected noisy row is dense (UseBitmapStorage); the
-/// explicit hints pin a representation, for tests and benchmarks.
-enum class RrStorage { kAuto, kSorted, kBitmap };
-
-/// Expected-density threshold at and above which kAuto packs the release
-/// into a bitmap. Set at the intersection-cost crossover (near density
-/// 1/128, where the word kernels overtake the merge family): the old
-/// 1/16 memory-halving threshold left mid-density releases (e.g. 0.01 at
-/// ε≈3) in sorted vectors, forcing the dispatcher through a 2.4×-slower
-/// merge where the bitmap kernels — now SIMD — win outright
-/// (BENCH_intersect.json, 0.01×0.01 cell). Memory still favors the
-/// bitmap here: n/8 bytes vs 4 bytes/id breaks even at density 1/32,
-/// and below that the bitmap costs at most 4× the sorted row — bounded,
-/// and bought back many times over on the query path.
-inline constexpr double kBitmapDensityThreshold = 1.0 / 128.0;
-
-/// Domains smaller than one bitmap word stay sorted under kAuto: there is
-/// nothing to win and the sorted path keeps the tiny-domain distribution
-/// tests on the code path their name promises.
-inline constexpr VertexId kBitmapMinDomain = 64;
-
-/// True when kAuto stores the ε-release of a degree-`degree` vertex over
-/// `domain` opposite vertices as a bitmap. Pure function of its arguments:
-/// representation choice is deterministic across threads and runs.
-bool UseBitmapStorage(uint64_t degree, VertexId domain, double epsilon);
-
 /// Applies ε-randomized response to the neighbor list of `vertex` and
-/// returns its noisy neighbor set. Exactly distributed as bit-by-bit RR in
-/// both storage modes; `storage` only changes the representation (and the
-/// RNG draw sequence), never the output distribution.
+/// returns its noisy neighbor set, exactly distributed as bit-by-bit RR.
 ///
-/// `bitmap_storage` is optional storage from AllocateRrStorage (same
-/// graph, vertex, ε and `storage`): a bitmap release writes into it
-/// instead of allocating, and overwrites its contents, so the released
-/// bytes do not depend on it. Passing non-empty storage to a release
-/// that is not a bitmap is a fatal check.
+/// `storage` is optional: unwritten words over the release domain (the
+/// opposite layer), e.g. DenseBitset::Uninitialized, which the release
+/// overwrites instead of allocating, so the released bytes do not depend
+/// on it. Lets a caller choose the thread that allocates a release that
+/// another thread then writes. Storage over another domain is a fatal
+/// check.
 NoisyNeighborSet ApplyRandomizedResponse(const BipartiteGraph& graph,
                                          LayeredVertex vertex, double epsilon,
-                                         Rng& rng,
-                                         RrStorage storage = RrStorage::kAuto,
-                                         DenseBitset bitmap_storage = {});
-
-/// The storage ApplyRandomizedResponse would allocate for this release:
-/// unwritten words over the domain when the release is a bitmap, else
-/// empty (a sorted release sizes its own vector). Lets a caller choose the
-/// thread that allocates a release that another thread then writes.
-DenseBitset AllocateRrStorage(const BipartiteGraph& graph,
-                              LayeredVertex vertex, double epsilon,
-                              RrStorage storage = RrStorage::kAuto);
+                                         Rng& rng, DenseBitset storage = {});
 
 /// Reference O(n) implementation that flips every bit explicitly with one
-/// Bernoulli(p) draw each. Used by tests to validate the sparse and bitmap
-/// samplers; do not call on large layers.
+/// Bernoulli(p) draw each. Used by tests to validate the word-parallel
+/// sampler; do not call on large layers.
 NoisyNeighborSet ApplyRandomizedResponseDense(const BipartiteGraph& graph,
                                               LayeredVertex vertex,
                                               double epsilon, Rng& rng);
@@ -211,11 +153,6 @@ NoisyNeighborSet ApplyRandomizedResponseDense(const BipartiteGraph& graph,
 /// with opposite layer size n: d(1-p) + (n-d)p.
 double ExpectedNoisyDegree(double degree, double opposite_size,
                            double epsilon);
-
-/// Shared reserve() sizing for noisy-member vectors: the expected noisy
-/// degree plus slack, capped at the domain.
-size_t NoisyDegreeReserveHint(uint64_t degree, VertexId domain,
-                              double epsilon);
 
 }  // namespace cne
 

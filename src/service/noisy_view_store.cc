@@ -73,7 +73,8 @@ void NoisyViewStore::MaterializeAuthorized(ThreadPool& pool) {
   // the store that owned them is gone.
   std::vector<DenseBitset> storage(batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
-    storage[i] = AllocateRrStorage(graph_, batch[i], epsilon_);
+    storage[i] = DenseBitset::Uninitialized(
+        graph_.NumVertices(Opposite(batch[i].layer)));
   }
   pool.ParallelFor(batch.size(), [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
@@ -117,7 +118,7 @@ void NoisyViewStore::OfferBuildExemplar(LayeredVertex vertex,
   e.layer = static_cast<uint8_t>(vertex.layer);
   e.u = vertex.id;
   e.w = vertex.id;
-  e.repr_u = view.IsBitmap() ? "bitmap" : "sorted";
+  e.repr_u = "bitmap";
   e.size_u = view.Size();
   e.simd = SimdLevelName(ActiveSimdLevel());
   build_exemplars_->Offer(nanos, e);
@@ -208,7 +209,6 @@ void NoisyViewStore::Save(ByteWriter& out) const {
     ViewRecord record;
     record.packed_vertex = packed;
     record.state = ViewRecord::kStateMaterialized;
-    record.bitmap = view.IsBitmap();
     record.size = view.Size();
     record.digest = digest;
     views.entries.push_back(record);
@@ -282,7 +282,7 @@ void NoisyViewStore::VerifyRestored(std::span<const ViewRecord> records) {
     if (record.state != ViewRecord::kStateMaterialized) continue;
     const LayeredVertex vertex = UnpackLayeredVertex(record.packed_vertex);
     const NoisyNeighborSet& view = View(vertex);
-    if (view.IsBitmap() != record.bitmap || view.Size() != record.size ||
+    if (view.Size() != record.size ||
         digests_->at(record.packed_vertex) != record.digest) {
       throw std::runtime_error(
           std::string("regenerated view of ") + LayerName(vertex.layer) +
@@ -335,7 +335,7 @@ std::unique_ptr<NoisyNeighborSet> NoisyViewStore::Generate(
     LayeredVertex vertex, DenseBitset storage) const {
   Rng rng = base_rng_.Fork(PackLayeredVertex(vertex));
   return std::make_unique<NoisyNeighborSet>(ApplyRandomizedResponse(
-      graph_, vertex, epsilon_, rng, RrStorage::kAuto, std::move(storage)));
+      graph_, vertex, epsilon_, rng, std::move(storage)));
 }
 
 void NoisyViewStore::Publish(LayeredVertex vertex,

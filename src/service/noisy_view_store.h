@@ -147,9 +147,9 @@ class NoisyViewStore {
 
   /// Installs a build-latency exemplar reservoir: the slowest view builds
   /// are retained with the released vertex (exemplar u == w == vertex id),
-  /// the built representation/size, and the SIMD level. Only effective
-  /// when a build histogram is also installed (exemplars ride the same
-  /// clocked samples). Same set-before-use contract as the histogram.
+  /// the built size, and the SIMD level. Only effective when a build
+  /// histogram is also installed (exemplars ride the same clocked
+  /// samples). Same set-before-use contract as the histogram.
   void set_build_exemplars(obs::ExemplarReservoir* exemplars) {
     build_exemplars_ = exemplars;
   }
@@ -167,12 +167,12 @@ class NoisyViewStore {
   // again with fresh randomness after a restart would be a second
   // release — a privacy violation the ledger can no longer see. A
   // snapshot therefore records which vertices released, with each view's
-  // representation, size and digest, but never its bytes. Recovery
-  // regenerates every recorded view from the vertex's own substream,
-  // which replays the release the world already saw rather than making a
-  // second one, and VerifyRestored proves that it did: a regenerated view
-  // that differs from its record is refused. None of these may race with
-  // concurrent store access — persistence runs between submissions.
+  // size and digest, but never its bytes. Recovery regenerates every
+  // recorded view from the vertex's own substream, which replays the
+  // release the world already saw rather than making a second one, and
+  // VerifyRestored proves that it did: a regenerated view that differs
+  // from its record is refused. None of these may race with concurrent
+  // store access — persistence runs between submissions.
 
   /// Packed vertex → ViewDigest of each materialized view, in (layer, id)
   /// order. Owned by the persistence state; a store without persistence
@@ -199,9 +199,9 @@ class NoisyViewStore {
   std::vector<ViewRecord> Restore(ByteReader& in);
 
   /// Checks, once MaterializeAuthorized has regenerated them, every
-  /// materialized record of `records` against its view — representation,
-  /// size and ViewDigest — and throws std::runtime_error naming the first
-  /// vertex that differs. The regeneration replayed releases the restored
+  /// materialized record of `records` against its view — size and
+  /// ViewDigest — and throws std::runtime_error naming the first vertex
+  /// that differs. The regeneration replayed releases the restored
   /// counters already count, so their uploaded edges are taken back out.
   void VerifyRestored(std::span<const ViewRecord> records);
 
@@ -251,7 +251,7 @@ class NoisyViewStore {
   void QueueRestored(uint64_t packed_vertex, const char* source);
 
   /// Generates vertex's noisy view from its dedicated substream, into
-  /// `storage` from AllocateRrStorage when given.
+  /// `storage` (unwritten words over the release domain) when given.
   std::unique_ptr<NoisyNeighborSet> Generate(LayeredVertex vertex,
                                              DenseBitset storage = {}) const;
 

@@ -199,7 +199,6 @@ void WriteViewsSection(const ViewsSection& views, ByteWriter& out) {
     out.U64(entry.packed_vertex);
     out.U8(entry.state);
     if (entry.state != ViewRecord::kStateMaterialized) continue;
-    out.U8(entry.bitmap ? 1 : 0);
     out.U64(entry.size);
     out.U64(entry.digest);
   }
@@ -233,12 +232,6 @@ ViewsSection ReadViewsSection(ByteReader& in) {
                                std::to_string(entry.state));
     }
     if (entry.state == ViewRecord::kStateMaterialized) {
-      const uint8_t bitmap = in.U8();
-      if (bitmap > 1) {
-        throw std::runtime_error("views section: bad representation " +
-                                 std::to_string(bitmap));
-      }
-      entry.bitmap = bitmap == 1;
       entry.size = in.U64();
       entry.digest = in.U64();
     }
@@ -257,11 +250,10 @@ uint64_t Mix64(uint64_t z) {
   return z ^ (z >> 31);
 }
 
-// Four independent mix chains over interleaved values (so a view of 16k
+// Four independent mix chains over interleaved words (so a view of 16k
 // words digests at memory speed rather than at one chain's latency),
 // folded together with the value count.
-template <typename T>
-uint64_t DigestValues(std::span<const T> values) {
+uint64_t DigestWords(std::span<const uint64_t> values) {
   uint64_t lanes[4] = {1, 2, 3, 4};
   size_t i = 0;
   for (; i + 4 <= values.size(); i += 4) {
@@ -278,8 +270,7 @@ uint64_t DigestValues(std::span<const T> values) {
 }  // namespace
 
 uint64_t ViewDigest(const NoisyNeighborSet& view) {
-  if (view.IsBitmap()) return DigestValues(view.View().bitmap().Words());
-  return DigestValues(std::span<const VertexId>(view.SortedMembers()));
+  return DigestWords(view.View().bitmap().Words());
 }
 
 }  // namespace cne

@@ -25,7 +25,7 @@
 //            threshold t = BernoulliThreshold(FlipProbability(ε1))
 //   kViews   the view store's cumulative counters and one ViewRecord per
 //            touched vertex: authorized-pending, or materialized with its
-//            representation, released size, and ViewDigest
+//            released size and ViewDigest
 //   kLedger  the full budget-ledger table (BudgetLedger::Serialize)
 //
 // Neither the graph nor any view byte is stored. The graph is the
@@ -69,8 +69,9 @@ inline constexpr const char* kWalFileName = "budget.wal";
 /// Snapshot format version; SnapshotReader accepts no other. Version 2
 /// added the RR sampler version to the config section; version 3 added
 /// the RR threshold and replaced the graph section and the view bytes
-/// with per-view size and digest records.
-inline constexpr uint32_t kSnapshotVersion = 3;
+/// with per-view size and digest records; version 4 dropped the view
+/// records' representation byte (every view is a bitmap).
+inline constexpr uint32_t kSnapshotVersion = 4;
 
 /// Section identifiers. Values are part of the on-disk format.
 enum class SectionId : uint32_t {
@@ -187,8 +188,7 @@ struct ViewRecord {
 
   // Materialized only: what the release looked like, so a regenerated
   // view can be checked against it.
-  bool bitmap = false;
-  uint64_t size = 0;    ///< noisy degree (popcount in bitmap mode)
+  uint64_t size = 0;    ///< noisy degree (popcount of the bitmap)
   uint64_t digest = 0;  ///< ViewDigest of the released view
 };
 
@@ -208,14 +208,14 @@ struct ViewsSection {
 void WriteViewsSection(const ViewsSection& views, ByteWriter& out);
 
 /// Parses a views section. Throws std::runtime_error on a truncated
-/// section, a record count the bytes cannot hold, or an unknown state or
-/// representation byte; range and duplicate checks against a graph are
+/// section, a record count the bytes cannot hold, or an unknown state
+/// byte; range and duplicate checks against a graph are
 /// NoisyViewStore::Restore's.
 ViewsSection ReadViewsSection(ByteReader& in);
 
-/// 64-bit digest of a view's released bytes — the bitmap words, or the
-/// sorted member ids. Portable (integer arithmetic only), so a digest
-/// written on one host verifies on another.
+/// 64-bit digest of a view's released bytes, its bitmap words. Portable
+/// (integer arithmetic only), so a digest written on one host verifies on
+/// another.
 uint64_t ViewDigest(const NoisyNeighborSet& view);
 
 }  // namespace cne

@@ -84,17 +84,6 @@ double Rng::Gaussian() {
   }
 }
 
-uint64_t Rng::Geometric(double p) {
-  assert(p > 0.0 && p <= 1.0);
-  if (p >= 1.0) return 0;
-  // Inverse transform: G = floor(ln(1-U) / ln(1-p)), U uniform in [0, 1).
-  // log1p keeps precision for small p; U = 0 maps to 0.
-  const double g = std::floor(std::log1p(-NextDouble()) / std::log1p(-p));
-  // Clamp the (astronomically unlikely) float overshoot into range.
-  if (g >= 9.2233720368547758e18) return UINT64_MAX;
-  return static_cast<uint64_t>(g);
-}
-
 std::vector<uint64_t> Rng::SampleWithoutReplacement(uint64_t n, uint64_t k) {
   assert(k <= n);
   std::vector<uint64_t> result;

@@ -72,13 +72,6 @@ class Rng {
   /// Draws from the standard normal distribution (Marsaglia polar method).
   double Gaussian();
 
-  /// Draws from Geometric(p) on {0, 1, ...}: the number of failures before
-  /// the first success of a Bernoulli(p) process, P(G = g) = (1-p)^g p.
-  /// Requires p in (0, 1]. Inverse CDF, O(1). The gap law of a Bernoulli
-  /// process: skip-sampling the positions of independent p-coin successes
-  /// draws successive gaps from this distribution.
-  uint64_t Geometric(double p);
-
   /// Samples k distinct integers uniformly from [0, n) using Robert Floyd's
   /// algorithm. Returns them in unspecified order. Requires k <= n.
   std::vector<uint64_t> SampleWithoutReplacement(uint64_t n, uint64_t k);

@@ -178,8 +178,9 @@ TEST_F(PipelineEquivalenceTest, MultiRDSBasicDriverMatchesExecuteProtocol) {
 TEST_F(PipelineEquivalenceTest, SingleSourceEstimateUsesTheConstants) {
   // A fake noisy set equal to the truth with p = 0 recovers C2 exactly.
   const auto neighbors = graph_.Neighbors({Layer::kLower, 1});
-  const NoisyNeighborSet fake = NoisyNeighborSet::FromSortedUnique(
-      {neighbors.begin(), neighbors.end()}, graph_.NumUpper(), 0.0);
+  const NoisyNeighborSet fake(
+      std::vector<VertexId>(neighbors.begin(), neighbors.end()),
+      graph_.NumUpper(), 0.0);
   EXPECT_DOUBLE_EQ(
       SingleSourceEstimate(graph_, {Layer::kLower, 0}, fake),
       static_cast<double>(graph_.CountCommonNeighbors(Layer::kLower, 0, 1)));

@@ -92,29 +92,30 @@ TEST(RrPrivacyTest, SparseSamplerRealizesTheAnalyticMechanism) {
   }
 }
 
-TEST(RrPrivacyTest, SparseAndDenseSamplersShareTheDistribution) {
+TEST(RrPrivacyTest, WordParallelAndReferenceSamplersShareTheDistribution) {
+  // A 4-id domain, under one mask word: all 16 outcomes are enumerable.
   GraphBuilder b(1, 4);
   b.AddEdge(0, 1).AddEdge(0, 3);
   const BipartiteGraph g = b.Build();
   const double epsilon = 0.8;
   const int trials = 100000;
-  std::map<int, int> sparse_counts, dense_counts;
-  Rng rng_s(7), rng_d(8);
+  std::map<int, int> bitmap_counts, dense_counts;
+  Rng rng_b(7), rng_d(8);
   auto mask_of = [](const NoisyNeighborSet& s) {
     int mask = 0;
     for (VertexId v : s.SortedMembers()) mask |= 1 << v;
     return mask;
   };
   for (int t = 0; t < trials; ++t) {
-    ++sparse_counts[mask_of(
-        ApplyRandomizedResponse(g, {Layer::kUpper, 0}, epsilon, rng_s))];
+    ++bitmap_counts[mask_of(
+        ApplyRandomizedResponse(g, {Layer::kUpper, 0}, epsilon, rng_b))];
     ++dense_counts[mask_of(ApplyRandomizedResponseDense(
         g, {Layer::kUpper, 0}, epsilon, rng_d))];
   }
   for (int mask = 0; mask < 16; ++mask) {
-    const double fs = static_cast<double>(sparse_counts[mask]) / trials;
+    const double fb = static_cast<double>(bitmap_counts[mask]) / trials;
     const double fd = static_cast<double>(dense_counts[mask]) / trials;
-    EXPECT_NEAR(fs, fd, 5 * std::sqrt(0.25 / trials) + 1e-4)
+    EXPECT_NEAR(fb, fd, 5 * std::sqrt(0.25 / trials) + 1e-4)
         << "outcome " << mask;
   }
 }

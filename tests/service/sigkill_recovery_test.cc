@@ -97,7 +97,7 @@ void ExpectSameViews(const BipartiteGraph& g, const NoisyViewStore& a,
     for (VertexId id = 0; id < g.NumVertices(layer); ++id) {
       const LayeredVertex v{layer, id};
       if (!a.Contains(v) || !b.Contains(v)) continue;
-      EXPECT_EQ(a.View(v).ToSortedVector(), b.View(v).ToSortedVector())
+      EXPECT_EQ(a.View(v).SortedMembers(), b.View(v).SortedMembers())
           << label << " " << LayerName(layer) << " vertex " << id;
       ++compared;
     }

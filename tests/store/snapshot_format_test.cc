@@ -110,16 +110,20 @@ TEST(SnapshotFormatTest, OtherFormatVersionsAreRefusedNamingBoth) {
   writer.EndSection();
   writer.Commit(path);
   auto bytes = ReadFileBytes(path);
-  bytes[8] = 2;  // the version follows the 8-byte magic
-  WriteFileAtomic(path, bytes);
-  try {
-    SnapshotReader reader(path);
-    FAIL() << "opened a format 2 snapshot";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find(
-                  "version 2; this binary reads version 3"),
-              std::string::npos)
-        << e.what();
+  // Format 3 still carried a representation byte per view record.
+  for (const uint8_t version : {2, 3}) {
+    bytes[8] = version;  // the version follows the 8-byte magic
+    WriteFileAtomic(path, bytes);
+    try {
+      SnapshotReader reader(path);
+      FAIL() << "opened a format " << int{version} << " snapshot";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "version " + std::to_string(version) +
+                    "; this binary reads version 4"),
+                std::string::npos)
+          << e.what();
+    }
   }
   std::filesystem::remove(path);
 }
@@ -170,21 +174,19 @@ ViewsSection SampleViews() {
   views.rejections = 1;
   views.uploaded_edges = 123;
 
-  ViewRecord sorted;
-  sorted.packed_vertex = PackLayeredVertex({Layer::kUpper, 4});
-  sorted.state = ViewRecord::kStateMaterialized;
-  sorted.bitmap = false;
-  sorted.size = 3;
-  sorted.digest = 0x0123456789abcdefULL;
-  views.entries.push_back(sorted);
+  ViewRecord upper;
+  upper.packed_vertex = PackLayeredVertex({Layer::kUpper, 4});
+  upper.state = ViewRecord::kStateMaterialized;
+  upper.size = 3;
+  upper.digest = 0x0123456789abcdefULL;
+  views.entries.push_back(upper);
 
-  ViewRecord bitmap;
-  bitmap.packed_vertex = PackLayeredVertex({Layer::kLower, 9});
-  bitmap.state = ViewRecord::kStateMaterialized;
-  bitmap.bitmap = true;
-  bitmap.size = 2;
-  bitmap.digest = 0xfedcba9876543210ULL;
-  views.entries.push_back(bitmap);
+  ViewRecord lower;
+  lower.packed_vertex = PackLayeredVertex({Layer::kLower, 9});
+  lower.state = ViewRecord::kStateMaterialized;
+  lower.size = 2;
+  lower.digest = 0xfedcba9876543210ULL;
+  views.entries.push_back(lower);
 
   ViewRecord pending;
   pending.packed_vertex = PackLayeredVertex({Layer::kLower, 11});
@@ -198,8 +200,8 @@ TEST(SnapshotFormatTest, ViewsSectionRoundTripsRecords) {
   ByteWriter out;
   WriteViewsSection(views, out);
   // Counters, then per record: vertex + state, and for a materialized
-  // view its representation, size and digest — never the view's bytes.
-  EXPECT_EQ(out.size(), 8u * 7 + 2 * (8 + 1 + 1 + 8 + 8) + (8 + 1));
+  // view its size and digest — never the view's bytes.
+  EXPECT_EQ(out.size(), 8u * 7 + 2 * (8 + 1 + 8 + 8) + (8 + 1));
   ByteReader in(out.data());
   const ViewsSection back = ReadViewsSection(in);
   EXPECT_EQ(in.remaining(), 0u);
@@ -210,7 +212,6 @@ TEST(SnapshotFormatTest, ViewsSectionRoundTripsRecords) {
   for (size_t i = 0; i < 3; ++i) {
     EXPECT_EQ(back.entries[i].packed_vertex, views.entries[i].packed_vertex);
     EXPECT_EQ(back.entries[i].state, views.entries[i].state);
-    EXPECT_EQ(back.entries[i].bitmap, views.entries[i].bitmap);
     EXPECT_EQ(back.entries[i].size, views.entries[i].size);
     EXPECT_EQ(back.entries[i].digest, views.entries[i].digest);
   }
@@ -223,14 +224,12 @@ TEST(SnapshotFormatTest, MalformedViewsSectionsThrow) {
   // Byte offsets into the encoding of SampleViews().
   constexpr size_t kCountAt = 8 * 6;
   constexpr size_t kFirstStateAt = kCountAt + 8 + 8;
-  constexpr size_t kFirstBitmapAt = kFirstStateAt + 1;
   const struct {
     const char* name;
     size_t at;
     uint8_t value;
   } pokes[] = {
       {"unknown state byte", kFirstStateAt, 7},
-      {"unknown representation byte", kFirstBitmapAt, 2},
       {"record count beyond the section", kCountAt + 7, 0x10},
       {"one more record than written", kCountAt, 4},
   };
@@ -260,10 +259,9 @@ TEST(SnapshotFormatTest, ViewDigestTracksEveryReleasedBit) {
     EXPECT_NE(ViewDigest(NoisyNeighborSet(other, 0.25)), digest)
         << "bit " << flip;
   }
-  const NoisyNeighborSet sorted({5, 129}, 130, 0.25);
-  EXPECT_NE(ViewDigest(sorted), ViewDigest(NoisyNeighborSet({5, 128}, 130,
-                                                            0.25)));
-  EXPECT_NE(ViewDigest(sorted), ViewDigest(NoisyNeighborSet({5}, 130, 0.25)));
+  // The member-list constructor packs the same bitmap.
+  EXPECT_EQ(ViewDigest(NoisyNeighborSet({129, 5}, 130, 0.25)), digest);
+  EXPECT_NE(ViewDigest(NoisyNeighborSet({5}, 130, 0.25)), digest);
 }
 
 TEST(SnapshotFormatDeathTest, DuplicateSectionIsFatal) {

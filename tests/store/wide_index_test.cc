@@ -82,7 +82,6 @@ TEST(WideIndexTest, ViewsSectionCountersAreSixtyFourBit) {
   ViewRecord record;
   record.packed_vertex = PackLayeredVertex({Layer::kLower, kMaxVertexId});
   record.state = ViewRecord::kStateMaterialized;
-  record.bitmap = true;
   record.size = kTwo32 + 3;
   views.entries.push_back(record);
   ByteWriter out;

@@ -133,55 +133,6 @@ TEST(RngTest, GaussianMoments) {
   EXPECT_NEAR(stats.Variance(), 1.0, 0.03);
 }
 
-TEST(RngTest, GeometricEdgeCases) {
-  Rng rng(59);
-  EXPECT_EQ(rng.Geometric(1.0), 0u);
-}
-
-TEST(RngTest, GeometricMatchesPmf) {
-  // P(G = g) = (1-p)^g p: check mass at 0 and the mean (1-p)/p.
-  Rng rng(61);
-  const double p = 0.269;  // the ε = 1 flip probability regime
-  RunningStats stats;
-  int zeros = 0;
-  const int trials = 40000;
-  for (int i = 0; i < trials; ++i) {
-    const uint64_t g = rng.Geometric(p);
-    stats.Add(static_cast<double>(g));
-    zeros += g == 0;
-  }
-  EXPECT_NEAR(stats.Mean(), (1 - p) / p, 5 * stats.StdError());
-  EXPECT_NEAR(static_cast<double>(zeros) / trials, p,
-              5 * std::sqrt(p * (1 - p) / trials));
-}
-
-TEST(RngTest, GeometricSkipSamplingMatchesBernoulliProcess) {
-  // Visiting positions by Geometric gaps must mark each position of a
-  // finite window independently with probability p — the property the
-  // sparse RR sampler's flip-in generation relies on.
-  Rng rng(67);
-  const double p = 0.13;
-  const uint64_t window = 50;
-  std::vector<int> hits(window, 0);
-  RunningStats counts;
-  const int trials = 30000;
-  for (int t = 0; t < trials; ++t) {
-    int count = 0;
-    for (uint64_t q = rng.Geometric(p); q < window;
-         q += 1 + rng.Geometric(p)) {
-      ++hits[q];
-      ++count;
-    }
-    counts.Add(count);
-  }
-  EXPECT_NEAR(counts.Mean(), window * p, 5 * counts.StdError());
-  for (uint64_t q = 0; q < window; ++q) {
-    EXPECT_NEAR(static_cast<double>(hits[q]) / trials, p,
-                5 * std::sqrt(p * (1 - p) / trials) + 1e-3)
-        << "position " << q;
-  }
-}
-
 TEST(RngTest, SampleWithoutReplacementBasics) {
   Rng rng(53);
   auto sample = rng.SampleWithoutReplacement(100, 10);

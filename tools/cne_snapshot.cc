@@ -2,7 +2,7 @@
 // subsystem (store/).
 //
 // Dumps a snapshot's header, section sizes, service configuration (graph
-// shape included), view-representation mix, and residual-budget
+// shape included), view counts, and residual-budget
 // histogram; with --dir, also summarizes the companion write-ahead log.
 // The file is validated the way recovery reads it (magic, version,
 // section CRCs, record framing), so a nonzero exit code means recovery
@@ -46,8 +46,6 @@ struct ViewsSummary {
   uint64_t entries = 0;
   uint64_t pending = 0;
   uint64_t materialized = 0;
-  uint64_t bitmap = 0;
-  uint64_t sorted = 0;
   uint64_t noisy_edges = 0;  ///< sum of view sizes
   double epsilon = 0.0;
 };
@@ -63,7 +61,6 @@ ViewsSummary SummarizeViews(const ViewsSection& views) {
     }
     ++s.materialized;
     s.noisy_edges += entry.size;
-    ++(entry.bitmap ? s.bitmap : s.sorted);
   }
   return s;
 }
@@ -193,10 +190,9 @@ int main(int argc, char** argv) {
       std::printf(
           " \"views\": {\"epsilon\": %g, \"entries\": %" PRIu64
           ", \"pending\": %" PRIu64 ", \"materialized\": %" PRIu64
-          ", \"bitmap\": %" PRIu64 ", \"sorted\": %" PRIu64
           ", \"noisy_edges\": %" PRIu64 "},\n",
           views.epsilon, views.entries, views.pending, views.materialized,
-          views.bitmap, views.sorted, views.noisy_edges);
+          views.noisy_edges);
       std::printf(
           " \"ledger\": {\"lifetime_budget\": %g, \"vertices\": %" PRIu64
           ", \"exhausted\": %" PRIu64
@@ -226,12 +222,10 @@ int main(int argc, char** argv) {
       std::printf("graph      |U|=%u |L|=%u m=%" PRIu64 "\n",
                   config.num_upper, config.num_lower, config.num_edges);
       std::printf("views      eps=%g, %" PRIu64 " entries (%" PRIu64
-                  " materialized: %" PRIu64 " bitmap / %" PRIu64
-                  " sorted; %" PRIu64 " pending), %" PRIu64
+                  " materialized, %" PRIu64 " pending), %" PRIu64
                   " noisy edges\n",
                   views.epsilon, views.entries, views.materialized,
-                  views.bitmap, views.sorted, views.pending,
-                  views.noisy_edges);
+                  views.pending, views.noisy_edges);
       std::printf("ledger     budget %g, %" PRIu64
                   " vertices charged (%" PRIu64
                   " exhausted), %.3f eps total, min residual %.6f, "
