@@ -1,9 +1,15 @@
 // Google-benchmark micro-benchmarks of the substrate: the adaptive
 // set-intersection kernels (scalar merge, galloping, bitmap AND, probe),
+// blocked bitmap pair counts against per-pair AND on the hot-set shape,
 // randomized response, graph generation, and end-to-end
 // estimator latency on the rmwiki analog.
 
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "core/central_dp.h"
 #include "core/multir_ds.h"
@@ -100,6 +106,109 @@ void BM_IntersectGallopingSkewed(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * a.size());
 }
 BENCHMARK(BM_IntersectGallopingSkewed)->Range(1 << 8, 1 << 16);
+
+// The perfbench hot_set_read execute shape: 256 views over a
+// 1,026,646-id layer (16,042 words, 12.5% dense, about an ε = 2 RR row)
+// and 16,384 random pairs among them, grouped under the busier endpoint
+// as WorkloadPlanner groups them and cut into chunks of groups / 12, as a
+// 3-thread ThreadPool cuts them.
+struct HotSetPairs {
+  std::vector<DenseBitset> views;
+  std::vector<BitmapPair> pairs;  ///< group by group
+  std::vector<size_t> chunks;     ///< pair offset of each chunk, then the end
+};
+
+const HotSetPairs& HotSet() {
+  static const HotSetPairs* shape = [] {
+    constexpr size_t kViews = 256;
+    constexpr size_t kPairs = 16384;
+    constexpr VertexId kDomain = 1'026'646;
+    auto* out = new HotSetPairs;
+    Rng rng(1);
+    for (size_t v = 0; v < kViews; ++v) {
+      DenseBitset bits(kDomain);
+      std::span<uint64_t> words = bits.MutableWords();
+      for (uint64_t& word : words) {
+        word = rng.NextU64() & rng.NextU64() & rng.NextU64();
+      }
+      words.back() &= (uint64_t{1} << (kDomain % 64)) - 1;
+      out->views.push_back(std::move(bits));
+    }
+    std::vector<std::pair<size_t, size_t>> queries;
+    std::vector<size_t> frequency(kViews, 0);
+    for (size_t i = 0; i < kPairs; ++i) {
+      const size_t a = rng.UniformInt(kViews);
+      size_t b = rng.UniformInt(kViews - 1);
+      if (b >= a) ++b;
+      queries.emplace_back(a, b);
+      ++frequency[a];
+      ++frequency[b];
+    }
+    std::vector<std::vector<size_t>> partners(kViews);
+    for (const auto& [a, b] : queries) {
+      if (frequency[a] >= frequency[b]) {
+        partners[a].push_back(b);
+      } else {
+        partners[b].push_back(a);
+      }
+    }
+    std::vector<size_t> sources;
+    for (size_t v = 0; v < kViews; ++v) {
+      if (!partners[v].empty()) sources.push_back(v);
+    }
+    std::stable_sort(sources.begin(), sources.end(), [&](size_t x, size_t y) {
+      return partners[x].size() > partners[y].size();
+    });
+    const size_t groups_per_chunk = std::max<size_t>(1, sources.size() / 12);
+    for (size_t g = 0; g < sources.size(); ++g) {
+      if (g % groups_per_chunk == 0) out->chunks.push_back(out->pairs.size());
+      for (size_t w : partners[sources[g]]) {
+        out->pairs.push_back({&out->views[sources[g]], &out->views[w]});
+      }
+    }
+    out->chunks.push_back(out->pairs.size());
+    return out;
+  }();
+  return *shape;
+}
+
+// Arg 0: one IntersectBitmapAnd per pair; arg 1: one BitmapAndCounts pass
+// per chunk. With N threads, thread k takes chunks k, k + N, ...
+void BM_HotSetPairCounts(benchmark::State& state) {
+  const HotSetPairs& shape = HotSet();
+  const bool blocked = state.range(0) != 0;
+  const std::span<const BitmapPair> pairs = shape.pairs;
+  std::vector<uint64_t> counts(pairs.size());
+  const size_t threads = static_cast<size_t>(state.threads());
+  const size_t self = static_cast<size_t>(state.thread_index());
+  size_t done = 0;
+  for (auto _ : state) {
+    for (size_t c = self; c + 1 < shape.chunks.size(); c += threads) {
+      const size_t begin = shape.chunks[c];
+      const size_t size = shape.chunks[c + 1] - begin;
+      if (blocked) {
+        BitmapAndCounts(pairs.subspan(begin, size),
+                        std::span<uint64_t>(counts).subspan(begin, size));
+      } else {
+        for (size_t i = begin; i < begin + size; ++i) {
+          counts[i] = IntersectBitmapAnd(*pairs[i].source, *pairs[i].partner);
+        }
+      }
+      done += size;
+    }
+    benchmark::DoNotOptimize(counts.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(done));
+}
+BENCHMARK(BM_HotSetPairCounts)
+    ->ArgName("blocked")
+    ->Arg(0)
+    ->Arg(1)
+    ->Threads(1)
+    ->Threads(3)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_RandomizedResponse(benchmark::State& state) {
   const VertexId domain = static_cast<VertexId>(state.range(0));

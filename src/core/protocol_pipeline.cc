@@ -86,19 +86,24 @@ double SingleSourceEstimate(const BipartiteGraph& graph, LayeredVertex u,
   return SingleSourceFromCounts(d, s1, neighbors.size());
 }
 
+double ViewPairFromCounts(const ProtocolPlan& plan, const DebiasConstants& d,
+                          uint64_t n1, uint64_t size_u, uint64_t size_w,
+                          uint64_t opposite_size) {
+  if (plan.kind == ProtocolKind::kNaive) return static_cast<double>(n1);
+  CNE_CHECK(plan.kind == ProtocolKind::kOneR)
+      << ToString(plan.kind) << " does not finish from a view pair";
+  return OneRFromCounts(d, n1, size_u + size_w - n1, opposite_size);
+}
+
 double PostProcess(const ProtocolPlan& plan, const DebiasConstants& debias,
                    const ReleasedInputs& inputs, Rng& rng) {
   switch (plan.kind) {
-    case ProtocolKind::kNaive: {
-      return static_cast<double>(
-          IntersectionSize(inputs.view_u->View(), inputs.view_w->View()));
-    }
-    case ProtocolKind::kOneR: {
-      const uint64_t n1 =
-          IntersectionSize(inputs.view_u->View(), inputs.view_w->View());
-      const uint64_t n2 = inputs.view_u->Size() + inputs.view_w->Size() - n1;
-      return OneRFromCounts(debias, n1, n2, inputs.opposite_size);
-    }
+    case ProtocolKind::kNaive:
+    case ProtocolKind::kOneR:
+      return ViewPairFromCounts(
+          plan, debias,
+          IntersectionSize(inputs.view_u->View(), inputs.view_w->View()),
+          inputs.view_u->Size(), inputs.view_w->Size(), inputs.opposite_size);
     case ProtocolKind::kMultiRSS: {
       const uint64_t s1 = IntersectionSize(
           SetView::Sorted(inputs.neighbors_u), inputs.view_w->View());

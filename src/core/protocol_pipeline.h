@@ -15,10 +15,11 @@
 // depend only on the randomized-response budget; `PostProcess` is the one
 // definition of the per-query arithmetic. The per-pair estimators
 // (naive/oner/multir_ss/multir_ds.cc) are thin drivers over
-// `ExecuteProtocol`, and the query service (service/query_service.cc) and
-// the workload planner's grouped executor (service/workload_planner.cc)
-// drive `PostProcess` and the *FromCounts helpers directly over the shared
-// noisy-view store — one implementation, three consumers.
+// `ExecuteProtocol`. The query service (service/query_service.cc) drives
+// the same arithmetic over its shared noisy-view store: `PostProcess` per
+// query for the MultiR family, and `ViewPairFromCounts` for Naive/OneR,
+// whose intersections it counts a chunk of queries at a time —
+// one implementation, two consumers.
 
 #ifndef CNE_CORE_PROTOCOL_PIPELINE_H_
 #define CNE_CORE_PROTOCOL_PIPELINE_H_
@@ -130,6 +131,15 @@ inline double OneRFromCounts(const DebiasConstants& d, uint64_t n1,
          static_cast<double>(n2 - n1) * d.c10 +
          static_cast<double>(opposite_size - n2) * d.c00;
 }
+
+/// The Naive/OneR estimate from the noisy intersection n1 = |N'(u) ∩ N'(w)|
+/// and the two view sizes: n1 itself for Naive, the OneR closed form over
+/// N2 = |N'(u)| + |N'(w)| − n1 for OneR. Symmetric in u and w. The one
+/// definition of both protocols' arithmetic; PostProcess and the service's
+/// blocked execute both finish here. `plan` must be Naive or OneR.
+double ViewPairFromCounts(const ProtocolPlan& plan, const DebiasConstants& d,
+                          uint64_t n1, uint64_t size_u, uint64_t size_w,
+                          uint64_t opposite_size);
 
 /// The noiseless single-source estimator f_u from S1 = |N(u) ∩ N'(w)| and
 /// deg(u) (so S2 = deg(u) − S1).

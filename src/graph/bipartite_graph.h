@@ -190,7 +190,8 @@ void CountsToOffsets(std::span<uint64_t> counts);
 uint64_t SortedIntersectionSize(std::span<const VertexId> a,
                                 std::span<const VertexId> b);
 
-/// Counts the size of the union of two sorted id ranges.
+/// Counts the size of the union of two sorted unique id ranges:
+/// |a| + |b| − SortedIntersectionSize(a, b).
 uint64_t SortedUnionSize(std::span<const VertexId> a,
                          std::span<const VertexId> b);
 

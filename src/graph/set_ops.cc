@@ -19,12 +19,20 @@ uint64_t AndPopcountScalar(const uint64_t* a, const uint64_t* b, size_t n) {
   return count;
 }
 
-uint64_t OrPopcountScalar(const uint64_t* a, const uint64_t* b, size_t n) {
-  uint64_t count = 0;
+void AndPopcount4Scalar(const uint64_t* a, const uint64_t* const* b,
+                        size_t n, uint64_t* counts) {
+  uint64_t c0 = 0, c1 = 0, c2 = 0, c3 = 0;
   for (size_t i = 0; i < n; ++i) {
-    count += static_cast<uint64_t>(std::popcount(a[i] | b[i]));
+    const uint64_t word = a[i];
+    c0 += static_cast<uint64_t>(std::popcount(word & b[0][i]));
+    c1 += static_cast<uint64_t>(std::popcount(word & b[1][i]));
+    c2 += static_cast<uint64_t>(std::popcount(word & b[2][i]));
+    c3 += static_cast<uint64_t>(std::popcount(word & b[3][i]));
   }
-  return count;
+  counts[0] = c0;
+  counts[1] = c1;
+  counts[2] = c2;
+  counts[3] = c3;
 }
 
 uint64_t PopcountScalar(const uint64_t* w, size_t n) {
@@ -37,12 +45,12 @@ uint64_t PopcountScalar(const uint64_t* w, size_t n) {
 
 const WordKernels& WordKernelsFor(SimdLevel level) {
   static constexpr WordKernels kScalarKernels = {
-      &AndPopcountScalar, &OrPopcountScalar, &PopcountScalar};
+      &AndPopcountScalar, &AndPopcount4Scalar, &PopcountScalar};
 #if CNE_HAVE_X86_SIMD
   static constexpr WordKernels kAvx2Kernels = {
-      &AndPopcountAvx2, &OrPopcountAvx2, &PopcountAvx2};
+      &AndPopcountAvx2, &AndPopcount4Avx2, &PopcountAvx2};
   static constexpr WordKernels kAvx512Kernels = {
-      &AndPopcountAvx512, &OrPopcountAvx512, &PopcountAvx512};
+      &AndPopcountAvx512, &AndPopcount4Avx512, &PopcountAvx512};
   switch (level) {
     case SimdLevel::kAvx512:
       return kAvx512Kernels;
@@ -78,9 +86,8 @@ const char* SetKernelName(SetKernel kernel) {
   return "unknown";
 }
 
-// The dispatch rule shared by the intersection and union dispatchers:
-// the operand representations fix the kernel, and only a sorted × sorted
-// pair has a choice, settled by the size ratio.
+// The dispatch rule: the operand representations fix the kernel, and
+// only a sorted × sorted pair has a choice, settled by the size ratio.
 SetKernel ChooseIntersectKernel(const SetView& a, const SetView& b) {
   if (a.IsBitmap() && b.IsBitmap()) return SetKernel::kBitmapAnd;
   if (a.IsBitmap() || b.IsBitmap()) return SetKernel::kProbeBitmap;
@@ -200,62 +207,53 @@ const char* DispatchedKernelName(const SetView& a, const SetView& b) {
   return SetKernelName(ChooseIntersectKernel(a, b));
 }
 
-uint64_t UnionScalarMerge(std::span<const VertexId> a,
-                          std::span<const VertexId> b) {
-  uint64_t count = 0;
-  size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    ++count;
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (b[j] < a[i]) {
-      ++j;
-    } else {
-      ++i;
-      ++j;
+void BitmapAndCounts(std::span<const BitmapPair> pairs,
+                     std::span<uint64_t> counts) {
+  CNE_CHECK(counts.size() == pairs.size())
+      << "one count per pair: " << counts.size() << " vs " << pairs.size();
+  std::fill(counts.begin(), counts.end(), uint64_t{0});
+  size_t max_words = 0;
+  for (const BitmapPair& pair : pairs) {
+    CNE_CHECK(pair.partner->NumBits() == pair.source->NumBits())
+        << "a pair's bitsets must span one domain";
+    max_words = std::max(max_words, pair.source->Words().size());
+  }
+  const simd::WordKernels& kernels = simd::ActiveWordKernels();
+  // Slice-major: every pair's words [lo, lo + kPairSliceWords) before any
+  // pair's next slice, so the slices of every view the pairs touch stay
+  // cached across the whole pass instead of being refetched per pair.
+  for (size_t lo = 0; lo < max_words; lo += kPairSliceWords) {
+    size_t i = 0;
+    while (i < pairs.size()) {
+      // One group: the run of pairs sharing this source. Four partners
+      // per load of the source's slice, the remainder one by one.
+      const DenseBitset* source = pairs[i].source;
+      size_t group_end = i + 1;
+      while (group_end < pairs.size() && pairs[group_end].source == source) {
+        ++group_end;
+      }
+      const size_t words = source->Words().size();
+      if (lo >= words) {  // a group over a smaller domain is done
+        i = group_end;
+        continue;
+      }
+      const size_t n = std::min(kPairSliceWords, words - lo);
+      const uint64_t* a = source->Words().data() + lo;
+      for (; i + 4 <= group_end; i += 4) {
+        const uint64_t* b[4];
+        for (size_t k = 0; k < 4; ++k) {
+          b[k] = pairs[i + k].partner->Words().data() + lo;
+        }
+        uint64_t block[4];
+        kernels.and_popcount4(a, b, n, block);
+        for (size_t k = 0; k < 4; ++k) counts[i + k] += block[k];
+      }
+      for (; i < group_end; ++i) {
+        counts[i] += kernels.and_popcount(
+            a, pairs[i].partner->Words().data() + lo, n);
+      }
     }
   }
-  return count + (a.size() - i) + (b.size() - j);
-}
-
-uint64_t UnionBitmapOr(const DenseBitset& a, const DenseBitset& b) {
-  const std::span<const uint64_t> wa = a.Words();
-  const std::span<const uint64_t> wb = b.Words();
-  const std::span<const uint64_t> longer = wa.size() >= wb.size() ? wa : wb;
-  const size_t n = std::min(wa.size(), wb.size());
-  const simd::WordKernels& kernels = simd::ActiveWordKernels();
-  return kernels.or_popcount(wa.data(), wb.data(), n) +
-         kernels.popcount(longer.data() + n, longer.size() - n);
-}
-
-uint64_t UnionSize(const SetView& a, const SetView& b) {
-  switch (ChooseIntersectKernel(a, b)) {
-    case SetKernel::kBitmapAnd:
-      return UnionBitmapOr(a.bitmap(), b.bitmap());
-    case SetKernel::kProbeBitmap:
-    case SetKernel::kGalloping:
-      // Mixed or skewed pair: inclusion–exclusion over the probe or
-      // galloping intersection beats merging the larger operand element
-      // by element (exact on unique sets).
-      return a.Size() + b.Size() - IntersectionSize(a, b);
-    case SetKernel::kScalarMerge:
-      break;
-  }
-  return UnionScalarMerge(a.sorted(), b.sorted());
-}
-
-const char* DispatchedUnionKernelName(const SetView& a, const SetView& b) {
-  switch (ChooseIntersectKernel(a, b)) {
-    case SetKernel::kBitmapAnd:
-      return "bitmap_or";
-    case SetKernel::kProbeBitmap:
-      return "probe_complement";
-    case SetKernel::kGalloping:
-      return "gallop_complement";
-    case SetKernel::kScalarMerge:
-      break;
-  }
-  return "scalar_merge";
 }
 
 }  // namespace cne

@@ -16,12 +16,20 @@
 //   bitmap × bitmap     IntersectBitmapAnd        every bitmap pair (word
 //                                                 AND + popcount; SIMD below)
 //   sorted × bitmap     IntersectProbeBitmap      sparse × dense (O(1) probes)
+//   bitmap × bitmap,    BitmapAndCounts           one-vs-many batches (word
+//     many pairs                                  slices that stay in L2,
+//                                                 four partners per load of
+//                                                 a shared source)
 //
-// The word kernels (AND/OR + popcount, DenseBitset::Count) dispatch at
-// runtime onto per-ISA implementations — portable scalar, AVX2
-// nibble-LUT popcount, AVX-512 vpopcntq — probed via CPUID in
-// util/cpu_features and overridable with CNE_SIMD_LEVEL for tests and
-// benches (see set_ops_kernels.h).
+// BitmapAndCounts is not a dispatcher choice: the query service calls it
+// on a chunk's Naive/OneR pairs, and it equals IntersectBitmapAnd pair
+// for pair.
+//
+// The word kernels (AND + popcount, four-partner AND + popcount,
+// DenseBitset::Count) dispatch at runtime onto per-ISA implementations —
+// portable scalar, AVX2 nibble-LUT popcount, AVX-512 vpopcntq — probed
+// via CPUID in util/cpu_features and overridable with CNE_SIMD_LEVEL for
+// tests and benches (see set_ops_kernels.h).
 //
 // Alignment contract: DenseBitset word storage is 64-byte aligned, so a
 // 512-bit vector load of words [8k, 8k+8) never splits a cache line and
@@ -222,28 +230,29 @@ uint64_t IntersectionSize(const SetView& a, const SetView& b);
 /// ext_intersect bench.
 const char* DispatchedKernelName(const SetView& a, const SetView& b);
 
-// ---- union kernels (mirror of the intersection family) ----
+/// One intersection of a blocked counts pass: `source` ∧ `partner`.
+struct BitmapPair {
+  const DenseBitset* source = nullptr;
+  const DenseBitset* partner = nullptr;
+};
 
-/// Scalar two-pointer merge counting |a ∪ b| over two sorted unique id
-/// ranges. The baseline every other union kernel must agree with.
-uint64_t UnionScalarMerge(std::span<const VertexId> a,
-                          std::span<const VertexId> b);
+/// Word-slice width of BitmapAndCounts. A chunk of hot-set pairs touches
+/// a few hundred views; at 1,024 words (8 KB) per view, one slice of each
+/// fits in a 2 MB L2. Set from a 256/512/1,024/2,048-word sweep over the
+/// hot-set shape (docs/BENCHMARKS.md, "Blocked bitmap pair counts").
+inline constexpr size_t kPairSliceWords = 1024;
 
-/// Dense × dense union: word OR + popcount over the overlapping words
-/// (SIMD-dispatched), plus the popcount of the longer operand's tail.
-uint64_t UnionBitmapOr(const DenseBitset& a, const DenseBitset& b);
-
-/// Adaptive union dispatcher, on the intersection dispatcher's rule:
-/// bitmap × bitmap → word OR + popcount; a mixed pair, or a sorted pair
-/// at kGallopRatio → |a| + |b| − |a ∩ b| through the probe or galloping
-/// intersection (inclusion–exclusion is exact on unique sets); any other
-/// sorted pair → scalar merge. Always equals UnionScalarMerge on the
-/// equivalent sorted inputs.
-uint64_t UnionSize(const SetView& a, const SetView& b);
-
-/// Name of the kernel UnionSize would run for (a, b); for parity tests and
-/// logs.
-const char* DispatchedUnionKernelName(const SetView& a, const SetView& b);
+/// counts[i] = IntersectBitmapAnd(*pairs[i].source, *pairs[i].partner)
+/// for every pair, computed as one blocked pass: the words are walked in
+/// kPairSliceWords slices, every pair's slice before any pair's next, and
+/// each run of pairs sharing a source (a group) ANDs the source's slice
+/// against four partners per load. Any order of pairs gives the same
+/// counts; laying them out group by group is what makes the pass fast.
+/// A pair's two bitsets must span one domain (two views of one layer
+/// do; pairs of different layers may mix), and `counts` must have one
+/// entry per pair; either violation is fatal.
+void BitmapAndCounts(std::span<const BitmapPair> pairs,
+                     std::span<uint64_t> counts);
 
 }  // namespace cne
 

@@ -47,7 +47,7 @@ inline uint64_t HorizontalSum(__m256i acc) {
          static_cast<uint64_t>(_mm_extract_epi64(sum, 1));
 }
 
-// Shared shape of the three kernels: combine four words at a time with
+// Shared shape of the two-operand kernels: combine four words at a time with
 // `combine`, popcount, and fall back to scalar for the <4-word tail.
 template <typename Combine, typename CombineScalar>
 inline uint64_t Sweep(const uint64_t* a, const uint64_t* b, size_t n,
@@ -77,10 +77,28 @@ uint64_t AndPopcountAvx2(const uint64_t* a, const uint64_t* b, size_t n) {
       [](uint64_t x, uint64_t y) { return x & y; });
 }
 
-uint64_t OrPopcountAvx2(const uint64_t* a, const uint64_t* b, size_t n) {
-  return Sweep(
-      a, b, n, [](__m256i x, __m256i y) { return _mm256_or_si256(x, y); },
-      [](uint64_t x, uint64_t y) { return x | y; });
+void AndPopcount4Avx2(const uint64_t* a, const uint64_t* const* b, size_t n,
+                      uint64_t* counts) {
+  __m256i acc[4] = {_mm256_setzero_si256(), _mm256_setzero_si256(),
+                    _mm256_setzero_si256(), _mm256_setzero_si256()};
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256i va =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
+    for (int k = 0; k < 4; ++k) {
+      const __m256i vb =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b[k] + i));
+      acc[k] = _mm256_add_epi64(
+          acc[k], SumBytesToQwords(PopcountBytes(_mm256_and_si256(va, vb))));
+    }
+  }
+  for (int k = 0; k < 4; ++k) {
+    uint64_t total = HorizontalSum(acc[k]);
+    for (size_t j = i; j < n; ++j) {
+      total += static_cast<uint64_t>(std::popcount(a[j] & b[k][j]));
+    }
+    counts[k] = total;
+  }
 }
 
 uint64_t PopcountAvx2(const uint64_t* w, size_t n) {

@@ -5,7 +5,7 @@
 // that).
 //
 // The body is the natural form the instruction set was built for:
-// vpandq/vporq + native vpopcntq (VPOPCNTDQ), eight words per
+// vpandq + native vpopcntq (VPOPCNTDQ), eight words per
 // iteration. The ragged tail — word counts not divisible by 8, i.e.
 // domain % 512 != 0 — is handled with a masked zero-fill load
 // (_mm512_maskz_loadu_epi64) instead of a scalar epilogue, so even a
@@ -39,7 +39,7 @@ inline uint64_t Sweep(const uint64_t* a, const uint64_t* b, size_t n,
     const __m512i va = _mm512_maskz_loadu_epi64(tail, a + i);
     const __m512i vb = _mm512_maskz_loadu_epi64(tail, b + i);
     // Zero-filled lanes contribute popcount 0 whatever `combine` is
-    // (AND, OR, and identity all map 0,0 -> 0).
+    // (AND and identity both map 0,0 -> 0).
     acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(combine(va, vb)));
   }
   return static_cast<uint64_t>(_mm512_reduce_add_epi64(acc));
@@ -52,9 +52,32 @@ uint64_t AndPopcountAvx512(const uint64_t* a, const uint64_t* b, size_t n) {
                [](__m512i x, __m512i y) { return _mm512_and_si512(x, y); });
 }
 
-uint64_t OrPopcountAvx512(const uint64_t* a, const uint64_t* b, size_t n) {
-  return Sweep(a, b, n,
-               [](__m512i x, __m512i y) { return _mm512_or_si512(x, y); });
+void AndPopcount4Avx512(const uint64_t* a, const uint64_t* const* b,
+                        size_t n, uint64_t* counts) {
+  __m512i acc[4] = {_mm512_setzero_si512(), _mm512_setzero_si512(),
+                    _mm512_setzero_si512(), _mm512_setzero_si512()};
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m512i va = _mm512_loadu_si512(a + i);
+    for (int k = 0; k < 4; ++k) {
+      acc[k] = _mm512_add_epi64(
+          acc[k], _mm512_popcnt_epi64(
+                      _mm512_and_si512(va, _mm512_loadu_si512(b[k] + i))));
+    }
+  }
+  if (i < n) {
+    const __mmask8 tail = static_cast<__mmask8>((1u << (n - i)) - 1u);
+    const __m512i va = _mm512_maskz_loadu_epi64(tail, a + i);
+    for (int k = 0; k < 4; ++k) {
+      acc[k] = _mm512_add_epi64(
+          acc[k],
+          _mm512_popcnt_epi64(_mm512_and_si512(
+              va, _mm512_maskz_loadu_epi64(tail, b[k] + i))));
+    }
+  }
+  for (int k = 0; k < 4; ++k) {
+    counts[k] = static_cast<uint64_t>(_mm512_reduce_add_epi64(acc[k]));
+  }
 }
 
 uint64_t PopcountAvx512(const uint64_t* w, size_t n) {

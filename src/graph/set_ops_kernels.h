@@ -7,12 +7,20 @@
 //
 //   set_ops.cc        — the scalar reference kernels (std::popcount),
 //                       always compiled with the base arch flags.
-//   set_ops_avx2.cc   — 256-bit AND/OR + nibble-LUT vpshufb popcount
+//   set_ops_avx2.cc   — 256-bit AND + nibble-LUT vpshufb popcount
 //                       (Mula's algorithm; AVX2 has no vector popcount).
-//   set_ops_avx512.cc — 512-bit vpandq/vporq + native vpopcntq
-//                       (VPOPCNTDQ), masked loads for the ragged tail
-//                       when the word count is not a multiple of 8
-//                       (domain % 512 != 0).
+//   set_ops_avx512.cc — 512-bit vpandq + native vpopcntq (VPOPCNTDQ),
+//                       masked loads for the ragged tail when the word
+//                       count is not a multiple of 8 (domain % 512 != 0).
+//
+// Each tier fills the same table:
+//
+//   kernel          result                           caller
+//   --------------  -------------------------------  ---------------------
+//   and_popcount    popcount(a & b)                  IntersectBitmapAnd
+//   and_popcount4   popcount(a & b[k]), k = 0..3,    BitmapAndCounts (one
+//                   one load of a per word           source, four partners)
+//   popcount        popcount(w)                      DenseBitset::Count
 //
 // All three agree bit-for-bit on every input; tests/graph/simd_parity
 // and the ext_intersect --self-check sweep enforce it at every level.
@@ -20,10 +28,11 @@
 // ActiveSimdLevel() — one relaxed atomic load — so tests and benches
 // can re-point it mid-process via ForceSimdLevel().
 //
-// Contract: `a`, `b`, `w` point at readable uint64_t ranges of length
-// `n`. DenseBitset word storage is 64-byte aligned (alignment contract
-// in set_ops.h), so vector loads from word 0 never split a cache line;
-// the kernels still use unaligned load encodings, which cost nothing on
+// Contract: `a`, `w` and every `b` (b[0..3] for and_popcount4) point at
+// readable uint64_t ranges of length `n`; the ranges may alias.
+// DenseBitset word storage is 64-byte aligned (alignment contract in
+// set_ops.h), so vector loads from word 0 never split a cache line; the
+// kernels still use unaligned load encodings, which cost nothing on
 // aligned addresses and keep subspan callers legal.
 
 #ifndef CNE_GRAPH_SET_OPS_KERNELS_H_
@@ -45,25 +54,30 @@
 namespace cne {
 namespace simd {
 
-/// popcount(a[i] & b[i]), popcount(a[i] | b[i]), popcount(w[i]) summed
-/// over i in [0, n).
+/// popcount(a[i] & b[i]) and popcount(w[i]) summed over i in [0, n);
+/// and_popcount4 writes counts[k] = popcount(a[i] & b[k][i]) summed over
+/// i, for k in [0, 4), reading each word of `a` once.
 struct WordKernels {
   uint64_t (*and_popcount)(const uint64_t* a, const uint64_t* b, size_t n);
-  uint64_t (*or_popcount)(const uint64_t* a, const uint64_t* b, size_t n);
+  void (*and_popcount4)(const uint64_t* a, const uint64_t* const* b,
+                        size_t n, uint64_t* counts);
   uint64_t (*popcount)(const uint64_t* w, size_t n);
 };
 
 uint64_t AndPopcountScalar(const uint64_t* a, const uint64_t* b, size_t n);
-uint64_t OrPopcountScalar(const uint64_t* a, const uint64_t* b, size_t n);
+void AndPopcount4Scalar(const uint64_t* a, const uint64_t* const* b,
+                        size_t n, uint64_t* counts);
 uint64_t PopcountScalar(const uint64_t* w, size_t n);
 
 #if CNE_HAVE_X86_SIMD
 uint64_t AndPopcountAvx2(const uint64_t* a, const uint64_t* b, size_t n);
-uint64_t OrPopcountAvx2(const uint64_t* a, const uint64_t* b, size_t n);
+void AndPopcount4Avx2(const uint64_t* a, const uint64_t* const* b, size_t n,
+                      uint64_t* counts);
 uint64_t PopcountAvx2(const uint64_t* w, size_t n);
 
 uint64_t AndPopcountAvx512(const uint64_t* a, const uint64_t* b, size_t n);
-uint64_t OrPopcountAvx512(const uint64_t* a, const uint64_t* b, size_t n);
+void AndPopcount4Avx512(const uint64_t* a, const uint64_t* const* b,
+                        size_t n, uint64_t* counts);
 uint64_t PopcountAvx512(const uint64_t* w, size_t n);
 #endif
 

@@ -120,13 +120,16 @@ class TraceSpan {
 
 #endif  // CNE_OBS_ENABLED
 
-/// Runs body(i) for every i in [0, n), clocking one call in `stride`
-/// (i = 0, stride, 2·stride, ...) on paths too hot to time every item.
-/// Each clocked call's latency goes to `histogram` and to
-/// on_sample(i, nanos) — the hook for exemplar offers. The calls between
-/// samples run in a plain inner loop with no per-item branch, so the
-/// common path compiles as if timing were off; with a null histogram the
-/// whole loop is plain.
+/// Runs body(i) for every i in [0, n), clocking one call in `stride`: the
+/// last call of each run [k·stride, (k+1)·stride), or of the final,
+/// shorter run (i = stride − 1, 2·stride − 1, ..., n − 1), on paths too
+/// hot to time every item. Not the first: when a run's first call warms
+/// the cache for the rest (a group's shared view), clocking it would
+/// report the cold call as typical. Each clocked call's latency goes to
+/// `histogram` and to on_sample(i, nanos) — the hook for exemplar offers.
+/// The calls between samples run in a plain inner loop with no per-item
+/// branch, so the common path compiles as if timing were off; with a null
+/// histogram the whole loop is plain.
 template <typename Body, typename OnSample>
 void ForEachSampled(size_t n, size_t stride, LatencyHistogram* histogram,
                     Body&& body, OnSample&& on_sample) {
@@ -136,16 +139,15 @@ void ForEachSampled(size_t n, size_t stride, LatencyHistogram* histogram,
   }
   size_t i = 0;
   while (i < n) {
+    for (const size_t last = std::min(n, i + stride) - 1; i < last; ++i) {
+      body(i);
+    }
     const uint64_t t0 = NowNanos();
     body(i);
     const uint64_t dt = NowNanos() - t0;
     histogram->Record(dt);
     on_sample(i, dt);
     ++i;
-    for (const size_t chunk_end = std::min(n, i + (stride - 1));
-         i < chunk_end; ++i) {
-      body(i);
-    }
   }
 }
 

@@ -30,8 +30,9 @@ namespace {
 // admission never commits a charge the ledger would refuse.
 constexpr double kBudgetTolerance = 1e-9;
 
-// Post-process latency is clocked one query in this many: Answer() runs
-// tens of ns per query, so the stride amortizes a ~40 ns clock pair to a
+// Post-process latency is clocked one query in this many: finishing a
+// query (Answer(), or ViewPairFromCounts after the chunk's counts pass)
+// runs ns to µs, so the stride amortizes a ~40 ns clock pair to a
 // fraction of a ns per query.
 constexpr size_t kPostProcessSampleStride = 512;
 
@@ -768,10 +769,14 @@ void QueryService::Execute(const std::vector<QueryPair>& queries,
   report.groups_formed = workload.groups.size();
   report.avg_group_size = workload.AvgGroupSize();
 
-  // Workers claim whole groups, so a shared source's view stays in cache
-  // across its group; every slot is written by exactly one query, so the
-  // chunks run freely in parallel. Groups are laid out contiguously in
-  // `order`, so a chunk of groups is one range of slots.
+  // Workers claim whole groups; every slot is written by exactly one
+  // query, so the chunks run freely in parallel. Groups are laid out
+  // contiguously in `order`, so a chunk of groups is one range of slots.
+  // Naive/OneR answer from one count per query: a chunk counts all its
+  // view × view intersections in one blocked pass (BitmapAndCounts — word
+  // slices that stay in L2, four partners per load of a group's source)
+  // and then finishes each query from its count. The MultiR family
+  // intersects true lists with views and answers query by query.
   // One execute span per worker chunk, not per group: a group runs in a
   // few µs, so per-group spans would spend a measurable share of the
   // execute phase measuring it. The histogram's quantiles describe chunk
@@ -781,6 +786,7 @@ void QueryService::Execute(const std::vector<QueryPair>& queries,
   // own "execute_chunk" events on their own threads, which the trace
   // renders as separate tid tracks.
   const obs::TraceSpan execute_wrapper(nullptr, "execute");
+  const bool view_pairs = plan_.NumLaplaceReleases() == 0;  // Naive, OneR
   pool_.ParallelFor(
       workload.groups.size(), [&](size_t begin, size_t end) {
         const obs::TraceSpan execute_span(h_execute_, "execute_chunk");
@@ -788,14 +794,46 @@ void QueryService::Execute(const std::vector<QueryPair>& queries,
         const std::span<const uint32_t> slots =
             std::span<const uint32_t>(workload.order)
                 .subspan(first, workload.groups[end - 1].end - first);
+        const auto offer = [&](size_t i, uint64_t dt) {
+          OfferPostProcessExemplar(plan[slots[i]].query, dt);
+        };
+        if (!view_pairs) {
+          obs::ForEachSampled(
+              slots.size(), kPostProcessSampleStride, h_post_process_,
+              [&](size_t i) {
+                report.answers[slots[i]].estimate = Answer(plan[slots[i]]);
+              },
+              offer);
+          return;
+        }
+        // Each query pairs its group's source view with its other
+        // endpoint's (the source itself for u = w).
+        std::vector<BitmapPair> pairs(slots.size());
+        std::vector<uint64_t> counts(slots.size());
+        for (size_t g = begin; g < end; ++g) {
+          const QueryGroup& group = workload.groups[g];
+          const DenseBitset* source =
+              &store_.View(group.source).View().bitmap();
+          for (uint32_t k = group.begin; k < group.end; ++k) {
+            const QueryPair& query = plan[workload.order[k]].query;
+            const VertexId partner =
+                query.u == group.source.id ? query.w : query.u;
+            pairs[k - first] = {
+                source, &store_.View({query.layer, partner}).View().bitmap()};
+          }
+        }
+        BitmapAndCounts(pairs, counts);
         obs::ForEachSampled(
             slots.size(), kPostProcessSampleStride, h_post_process_,
             [&](size_t i) {
-              report.answers[slots[i]].estimate = Answer(plan[slots[i]]);
+              const QueryPair& query = plan[slots[i]].query;
+              report.answers[slots[i]].estimate = ViewPairFromCounts(
+                  plan_, debias_, counts[i],
+                  store_.View({query.layer, query.u}).Size(),
+                  store_.View({query.layer, query.w}).Size(),
+                  graph_.NumVertices(Opposite(query.layer)));
             },
-            [&](size_t i, uint64_t dt) {
-              OfferPostProcessExemplar(plan[slots[i]].query, dt);
-            });
+            offer);
       });
 }
 
@@ -935,15 +973,9 @@ double QueryService::Answer(const PlannedQuery& planned) const {
   ReleasedInputs inputs;
   if (plan_.UsesNoisyViewU()) inputs.view_u = &store_.View(u);
   inputs.view_w = &store_.View(w);
-  if (plan_.LaplaceFromU()) inputs.neighbors_u = graph_.Neighbors(u);
+  inputs.neighbors_u = graph_.Neighbors(u);
   if (plan_.LaplaceFromW()) inputs.neighbors_w = graph_.Neighbors(w);
   inputs.opposite_size = graph_.NumVertices(Opposite(query.layer));
-
-  if (plan_.NumLaplaceReleases() == 0) {
-    // Naive/OneR draw no per-query noise; skip the substream fork.
-    Rng unused(0);
-    return PostProcess(plan_, debias_, inputs, unused);
-  }
   Rng rng = noise_root_.Fork(planned.noise_stream);
   return PostProcess(plan_, debias_, inputs, rng);
 }

@@ -323,13 +323,15 @@ class QueryService {
   /// The service configuration as a snapshot config section.
   SnapshotConfig CurrentConfig() const;
 
-  /// Post-processing / release phase for one admitted query — the
+  /// Post-processing phase for one admitted MultiR-SS/DS query — the
   /// per-query driver over the shared pipeline's PostProcess.
   double Answer(const PlannedQuery& planned) const;
 
   /// Phase 3: fills every answer slot. Rejections are copied from `plan`;
   /// admitted queries are ordered by shared endpoint (WorkloadPlanner) and
-  /// answered by Answer(), one group range per worker chunk.
+  /// answered one group range per worker chunk: Naive/OneR through one
+  /// BitmapAndCounts pass and ViewPairFromCounts, the MultiR family by
+  /// Answer().
   void Execute(const std::vector<QueryPair>& queries,
                const std::vector<PlannedQuery>& plan, ServiceReport& report);
 

@@ -4,15 +4,18 @@
 // projection — are one-vs-many workloads: one source vertex queried
 // against hundreds of candidates. The planner orders a submission's
 // admitted queries so that every query sharing an endpoint runs back to
-// back: each query joins the group of its busier endpoint, and the
-// service answers the groups one after another (one worker per group
-// range). The source's view then stays in cache across its whole group
-// instead of being re-fetched for every query that touches it.
+// back: each query joins the group of its busier endpoint, so the
+// group's source is one endpoint of every query in it, and the service
+// answers the groups one after another (one worker per range of groups).
+// The source's view then stays in cache across its whole group instead
+// of being re-fetched for every query that touches it. For view × view
+// pairs (Naive/OneR) a group also shares the source's slice loads: the
+// service's blocked counts pass (BitmapAndCounts) loads each word slice
+// of the source once and ANDs it against four of the group's partners.
 //
-// The planner only orders; every query is still answered by the service's
-// one per-query path. Answers cannot depend on the order: intersection
-// counts are exact integers and each query's Laplace noise comes from its
-// own admission-assigned substream.
+// The planner only orders. Answers cannot depend on the order:
+// intersection counts are exact integers and each query's Laplace noise
+// comes from its own admission-assigned substream.
 
 #ifndef CNE_SERVICE_WORKLOAD_PLANNER_H_
 #define CNE_SERVICE_WORKLOAD_PLANNER_H_

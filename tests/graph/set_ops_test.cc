@@ -7,12 +7,14 @@
 #include "graph/set_ops.h"
 
 #include <algorithm>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "util/cpu_features.h"
 #include "util/rng.h"
 
 namespace cne {
@@ -177,67 +179,6 @@ TEST(SetOpsKernelsTest, ProbeIgnoresOutOfDomainIds) {
   EXPECT_EQ(IntersectProbeBitmap(probes, bits), 1u);
 }
 
-TEST(SetOpsUnionTest, AllUnionKernelsAgreeAcrossDensityGrid) {
-  Rng rng(41);
-  for (VertexId domain : {VertexId{1}, VertexId{63}, VertexId{64},
-                          VertexId{65}, VertexId{100}, VertexId{1000}}) {
-    for (double da : {0.0, 0.01, 0.1, 0.5, 1.0}) {
-      for (double db : {0.0, 0.05, 0.7, 1.0}) {
-        const auto a = RandomSortedSet(domain, da, rng);
-        const auto b = RandomSortedSet(domain, db, rng);
-        const DenseBitset ba = ToBitset(a, domain);
-        const DenseBitset bb = ToBitset(b, domain);
-        std::vector<VertexId> ref;
-        std::set_union(a.begin(), a.end(), b.begin(), b.end(),
-                       std::back_inserter(ref));
-        const uint64_t want = ref.size();
-
-        EXPECT_EQ(UnionScalarMerge(a, b), want);
-        EXPECT_EQ(UnionScalarMerge(b, a), want);
-        EXPECT_EQ(UnionBitmapOr(ba, bb), want);
-        EXPECT_EQ(UnionBitmapOr(bb, ba), want);
-
-        const SetView sa = SetView::Sorted(a);
-        const SetView sb = SetView::Sorted(b);
-        const SetView va = SetView::Bitmap(ba, a.size());
-        const SetView vb = SetView::Bitmap(bb, b.size());
-        for (const SetView& x : {sa, va}) {
-          for (const SetView& y : {sb, vb}) {
-            EXPECT_EQ(UnionSize(x, y), want)
-                << domain << " " << da << "x" << db << " "
-                << DispatchedUnionKernelName(x, y);
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST(SetOpsUnionTest, BitmapOrHandlesDomainMismatch) {
-  // The longer operand's tail bits belong to the union.
-  DenseBitset a(130), b(70);
-  for (VertexId v : {0u, 64u, 129u}) a.Set(v);
-  for (VertexId v : {0u, 69u}) b.Set(v);
-  EXPECT_EQ(UnionBitmapOr(a, b), 4u);
-  EXPECT_EQ(UnionBitmapOr(b, a), 4u);
-}
-
-TEST(SetOpsUnionTest, PicksTheExpectedKernel) {
-  std::vector<VertexId> small = {1, 2, 3};
-  std::vector<VertexId> large(400);
-  for (VertexId v = 0; v < 400; ++v) large[v] = v;
-  DenseBitset bits(400);
-  bits.Set(1);
-
-  const SetView s = SetView::Sorted(small);
-  const SetView l = SetView::Sorted(large);
-  const SetView b = SetView::Bitmap(bits, 1);
-  EXPECT_STREQ(DispatchedUnionKernelName(s, l), "gallop_complement");
-  EXPECT_STREQ(DispatchedUnionKernelName(s, s), "scalar_merge");
-  EXPECT_STREQ(DispatchedUnionKernelName(s, b), "probe_complement");
-  EXPECT_STREQ(DispatchedUnionKernelName(b, b), "bitmap_or");
-}
-
 TEST(SetOpsDispatchTest, PicksTheExpectedKernel) {
   std::vector<VertexId> small = {1, 2, 3};
   std::vector<VertexId> large(400);
@@ -277,17 +218,92 @@ TEST(SetOpsDispatchTest, PicksTheExpectedKernel) {
             IntersectScalarMerge(ratio_small, under_ratio));
   EXPECT_EQ(IntersectionSize(rs, at),
             IntersectScalarMerge(ratio_small, at_ratio));
+}
 
-  // One rule for both dispatchers: a sorted pair gallops in the union
-  // exactly when it gallops in the intersection.
-  const std::pair<SetView, SetView> sorted_pairs[] = {
-      {s, l}, {l, l}, {s, s}, {rs, under}, {under, rs}, {rs, at}, {at, rs}};
-  for (const auto& [x, y] : sorted_pairs) {
-    EXPECT_EQ(std::string(DispatchedKernelName(x, y)) == "galloping",
-              std::string(DispatchedUnionKernelName(x, y)) ==
-                  "gallop_complement")
-        << x.Size() << " x " << y.Size();
+// Groups of 1–9 partners per source, laid out group by group as the
+// query service does, with self pairs (partner = source) and repeated
+// partners; every count must equal the per-pair kernel's.
+std::vector<BitmapPair> GroupedPairs(const std::vector<DenseBitset>& views,
+                                     Rng& rng) {
+  std::vector<BitmapPair> pairs;
+  for (size_t group_size = 1; group_size <= 9; ++group_size) {
+    const DenseBitset* source = &views[rng.UniformInt(views.size())];
+    for (size_t k = 0; k < group_size; ++k) {
+      const DenseBitset* partner = k % 3 == 1
+                                       ? source
+                                       : &views[rng.UniformInt(views.size())];
+      pairs.push_back({source, partner});
+    }
   }
+  return pairs;
+}
+
+void ExpectCountsMatchPerPair(std::span<const BitmapPair> pairs,
+                              const std::string& label) {
+  for (SimdLevel level : AvailableSimdLevels()) {
+    ForceSimdLevel(level);
+    std::vector<uint64_t> counts(pairs.size(), 12345);
+    BitmapAndCounts(pairs, counts);
+    for (size_t i = 0; i < pairs.size(); ++i) {
+      EXPECT_EQ(counts[i],
+                IntersectBitmapAnd(*pairs[i].source, *pairs[i].partner))
+          << label << " pair " << i << " " << SimdLevelName(level);
+    }
+  }
+  ForceSimdLevel(DetectedSimdLevel());
+}
+
+TEST(SetOpsPairCountsTest, EqualsPerPairKernelOnGroupedPairs) {
+  Rng rng(2608);
+  // One word, word boundaries, one slice, and one domain spanning three
+  // slices whose last is ragged in both words and bits.
+  const VertexId multi_slice =
+      static_cast<VertexId>(64 * (2 * kPairSliceWords + 300) + 17);
+  for (VertexId domain : {VertexId{1}, VertexId{63}, VertexId{64},
+                          VertexId{65}, VertexId{16405}, multi_slice}) {
+    std::vector<DenseBitset> views;
+    for (double density : {0.0, 0.05, 0.12, 0.5, 1.0}) {
+      views.push_back(ToBitset(RandomSortedSet(domain, density, rng), domain));
+    }
+    ExpectCountsMatchPerPair(GroupedPairs(views, rng),
+                             "domain " + std::to_string(domain));
+  }
+}
+
+TEST(SetOpsPairCountsTest, GroupsOverDifferentDomainsMix) {
+  // A chunk of a mixed-layer submission: groups over a one-slice and a
+  // three-slice domain, interleaved, so the short groups finish first.
+  Rng rng(65);
+  const VertexId long_domain =
+      static_cast<VertexId>(64 * (2 * kPairSliceWords + 5) + 1);
+  std::vector<DenseBitset> short_views, long_views;
+  for (double density : {0.1, 0.4, 0.9}) {
+    short_views.push_back(ToBitset(RandomSortedSet(700, density, rng), 700));
+    long_views.push_back(
+        ToBitset(RandomSortedSet(long_domain, density, rng), long_domain));
+  }
+  std::vector<BitmapPair> pairs;
+  for (int round = 0; round < 2; ++round) {
+    for (const auto* views : {&long_views, &short_views}) {
+      for (size_t k = 0; k < 5; ++k) {
+        pairs.push_back({&(*views)[round], &(*views)[k % views->size()]});
+      }
+    }
+  }
+  ExpectCountsMatchPerPair(pairs, "mixed domains");
+}
+
+TEST(SetOpsPairCountsDeathTest, PairOverTwoDomainsIsFatal) {
+  const DenseBitset a(130), b(129);
+  const std::vector<BitmapPair> pairs = {{&a, &a}, {&a, &b}};
+  std::vector<uint64_t> counts(pairs.size());
+  EXPECT_DEATH(BitmapAndCounts(pairs, counts), "one domain");
+}
+
+TEST(SetOpsPairCountsTest, EmptyPairListWritesNothing) {
+  std::vector<uint64_t> counts;
+  BitmapAndCounts({}, counts);
+  EXPECT_TRUE(counts.empty());
 }
 
 }  // namespace

@@ -49,8 +49,6 @@ TEST_F(SimdParityTest, WordKernelsMatchScalarOnDensityGrid) {
       const size_t n = a.Words().size();
       const uint64_t want_and =
           scalar.and_popcount(a.Words().data(), b.Words().data(), n);
-      const uint64_t want_or =
-          scalar.or_popcount(a.Words().data(), b.Words().data(), n);
       const uint64_t want_pop = scalar.popcount(a.Words().data(), n);
       for (SimdLevel level : AvailableSimdLevels()) {
         const simd::WordKernels& kernels = simd::WordKernelsFor(level);
@@ -58,9 +56,6 @@ TEST_F(SimdParityTest, WordKernelsMatchScalarOnDensityGrid) {
                   want_and)
             << SimdLevelName(level) << " domain " << domain << " density "
             << density;
-        EXPECT_EQ(kernels.or_popcount(a.Words().data(), b.Words().data(), n),
-                  want_or)
-            << SimdLevelName(level) << " domain " << domain;
         EXPECT_EQ(kernels.popcount(a.Words().data(), n), want_pop)
             << SimdLevelName(level) << " domain " << domain;
       }
@@ -76,12 +71,9 @@ TEST_F(SimdParityTest, PublicKernelsMatchSortedReferenceAtEveryLevel) {
     const std::vector<VertexId> sa = a.ToSortedVector();
     const std::vector<VertexId> sb = b.ToSortedVector();
     const uint64_t want_and = IntersectScalarMerge(sa, sb);
-    const uint64_t want_or = UnionScalarMerge(sa, sb);
     for (SimdLevel level : AvailableSimdLevels()) {
       ForceSimdLevel(level);
       EXPECT_EQ(IntersectBitmapAnd(a, b), want_and)
-          << SimdLevelName(level) << " domain " << domain;
-      EXPECT_EQ(UnionBitmapOr(a, b), want_or)
           << SimdLevelName(level) << " domain " << domain;
       EXPECT_EQ(a.Count(), sa.size()) << SimdLevelName(level);
       EXPECT_EQ(
@@ -170,7 +162,48 @@ TEST_F(SimdParityTest, AllOnesAndAlternatingPatternsCountExactly) {
       EXPECT_EQ(evens.Count(), (domain + 1) / 2) << SimdLevelName(level);
       EXPECT_EQ(IntersectBitmapAnd(ones, evens), (domain + 1) / 2)
           << SimdLevelName(level);
-      EXPECT_EQ(UnionBitmapOr(ones, evens), domain) << SimdLevelName(level);
+    }
+  }
+}
+
+TEST_F(SimdParityTest, FourPartnerKernelEqualsFourSinglePartnerCalls) {
+  // Every word count up to two AVX-512 strides, the slice-width
+  // boundaries, and one hot-set view (16,042 words); partners that alias
+  // the source or each other included.
+  std::vector<size_t> lengths;
+  for (size_t n = 1; n <= 17; ++n) lengths.push_back(n);
+  for (size_t n : {1023, 1024, 1025, 16042}) lengths.push_back(n);
+  Rng rng(2026);
+  for (size_t n : lengths) {
+    std::vector<std::vector<uint64_t>> rows(5, std::vector<uint64_t>(n));
+    for (size_t r = 0; r < rows.size(); ++r) {
+      for (uint64_t& word : rows[r]) {
+        // Rows of varied density: AND of 0–3 random words, or all ones.
+        word = r == 4 ? ~uint64_t{0} : rng.NextU64();
+        for (size_t k = 0; k < r % 4; ++k) word &= rng.NextU64();
+      }
+    }
+    const uint64_t* a = rows[0].data();
+    const uint64_t* const partner_sets[][4] = {
+        {rows[1].data(), rows[2].data(), rows[3].data(), rows[4].data()},
+        {a, rows[1].data(), a, rows[2].data()},
+        {rows[3].data(), rows[3].data(), rows[3].data(), rows[3].data()},
+        {a, a, a, a},
+    };
+    for (SimdLevel level : AvailableSimdLevels()) {
+      ForceSimdLevel(level);
+      const simd::WordKernels& kernels = simd::ActiveWordKernels();
+      for (const auto& b : partner_sets) {
+        uint64_t got[4] = {~uint64_t{0}, ~uint64_t{0}, ~uint64_t{0},
+                           ~uint64_t{0}};
+        kernels.and_popcount4(a, b, n, got);
+        for (size_t k = 0; k < 4; ++k) {
+          EXPECT_EQ(got[k], kernels.and_popcount(a, b[k], n))
+              << SimdLevelName(level) << " n " << n << " partner " << k;
+          EXPECT_EQ(got[k], simd::AndPopcountScalar(a, b[k], n))
+              << SimdLevelName(level) << " n " << n << " partner " << k;
+        }
+      }
     }
   }
 }

@@ -1,5 +1,6 @@
 #include "obs/trace.h"
 
+#include <algorithm>
 #include <chrono>
 #include <stdexcept>
 #include <thread>
@@ -151,7 +152,7 @@ TEST(ForEachSampledTest, NullHistogramRunsEveryItemUnclocked) {
   EXPECT_EQ(samples, 0u);
 }
 
-TEST(ForEachSampledTest, ClocksOneItemPerStrideStartingAtZero) {
+TEST(ForEachSampledTest, ClocksTheLastItemOfEachStrideRun) {
   LatencyHistogram histogram;
   std::vector<size_t> seen;
   std::vector<size_t> sampled;
@@ -160,8 +161,34 @@ TEST(ForEachSampledTest, ClocksOneItemPerStrideStartingAtZero) {
       [&](size_t i, uint64_t) { sampled.push_back(i); });
   ASSERT_EQ(seen.size(), 20u);
   for (size_t i = 0; i < seen.size(); ++i) EXPECT_EQ(seen[i], i);
-  EXPECT_EQ(sampled, (std::vector<size_t>{0, 8, 16}));
+  // Runs [0, 8), [8, 16) and the short [16, 20).
+  EXPECT_EQ(sampled, (std::vector<size_t>{7, 15, 19}));
   EXPECT_EQ(histogram.Snapshot().count, 3u);
+}
+
+TEST(ForEachSampledTest, SlowFirstCallOfARunIsNotTheSample) {
+  // The first call of each run is ~10× slower, as when it pulls a shared
+  // view into cache; the samples must describe the warm calls.
+  const auto spin = [](uint64_t nanos) {
+    const uint64_t start = NowNanos();
+    while (NowNanos() - start < nanos) {
+    }
+  };
+  constexpr uint64_t kFast = 20'000;
+  constexpr uint64_t kSlow = 10 * kFast;
+  constexpr size_t kStride = 4;
+  LatencyHistogram histogram;
+  std::vector<uint64_t> sampled;
+  ForEachSampled(
+      8 * kStride + 1, kStride, &histogram,
+      [&](size_t i) { spin(i % kStride == 0 ? kSlow : kFast); },
+      [&](size_t, uint64_t nanos) { sampled.push_back(nanos); });
+  ASSERT_EQ(sampled.size(), 9u);
+  // The short last run is one call, so its only call is the slow one;
+  // every full run is sampled on a warm call.
+  std::sort(sampled.begin(), sampled.end());
+  EXPECT_LT(sampled[4], kSlow / 2) << "median sample " << sampled[4] << " ns";
+  EXPECT_GE(sampled.back(), kSlow);
 }
 
 TEST(ForEachSampledTest, StrideOneClocksEveryItem) {

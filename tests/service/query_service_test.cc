@@ -1,5 +1,6 @@
 #include "service/query_service.h"
 
+#include <bit>
 #include <cmath>
 #include <vector>
 
@@ -7,6 +8,7 @@
 
 #include "graph/generators.h"
 #include "service/workload.h"
+#include "util/cpu_features.h"
 #include "util/statistics.h"
 
 namespace cne {
@@ -316,6 +318,73 @@ TEST(QueryServiceTest, RaisedLifetimeBudgetAdmitsMoreQueries) {
   // Vertex 0 sources ε2 = 1 per query: 8.0 of lifetime budget fits all 6.
   EXPECT_EQ(report.rejected, 0u);
   EXPECT_DOUBLE_EQ(service.ledger().Spent({Layer::kLower, 0}), 6.0);
+}
+
+// --- Naive/OneR answer from a blocked counts pass over each execute
+// --- chunk; the per-pair PostProcess over the same store is the
+// --- reference, bit for bit.
+
+TEST(QueryServiceTest, BlockedViewPairAnswersEqualPerPairPostProcess) {
+  // Views over 140,000 ids are 2,188 words: three count slices, the last
+  // ragged.
+  Rng graph_rng(26);
+  const BipartiteGraph g = ErdosRenyiBipartite(200, 140'000, 60'000, graph_rng);
+  constexpr Layer kLayer = Layer::kUpper;
+  Rng rng(7);
+  std::vector<std::vector<QueryPair>> submissions;
+  // A hot set: many groups sharing a few dozen views, plus lower-layer
+  // pairs (a 200-id domain) that share chunks with them.
+  submissions.push_back(MakeHotSetWorkload(g, kLayer, 500, 32, rng));
+  for (VertexId v = 0; v < 20; ++v) {
+    submissions.back().push_back({Opposite(kLayer), v % 5, (v * 7) % 5});
+  }
+  // 1×N top-k: one group, self pair included.
+  submissions.emplace_back();
+  for (VertexId w = 0; w < 45; ++w) {
+    submissions.back().push_back({kLayer, 40, w});
+  }
+  // All singletons (disjoint pairs, the hub_release shape).
+  submissions.emplace_back();
+  for (VertexId v = 100; v + 1 < 160; v += 2) {
+    submissions.back().push_back({kLayer, v, v + 1});
+  }
+
+  for (ServiceAlgorithm algorithm :
+       {ServiceAlgorithm::kNaive, ServiceAlgorithm::kOneR}) {
+    const ProtocolPlan plan = MakeProtocolPlan(algorithm, 2.0, 0.5);
+    const DebiasConstants debias =
+        MakeDebiasConstantsForEpsilon(plan.epsilon1);
+    for (SimdLevel level : AvailableSimdLevels()) {
+      ForceSimdLevel(level);
+      for (int threads : {1, 3}) {
+        ServiceOptions options;
+        options.algorithm = algorithm;
+        options.epsilon = 2.0;
+        options.num_threads = threads;
+        options.seed = 5;
+        QueryService service(g, options);
+        for (size_t s = 0; s < submissions.size(); ++s) {
+          const ServiceReport report = service.Submit(submissions[s]);
+          ASSERT_EQ(report.rejected, 0u);
+          for (size_t i = 0; i < report.answers.size(); ++i) {
+            const QueryPair& q = report.answers[i].query;
+            ReleasedInputs inputs;
+            inputs.view_u = &service.store().View({q.layer, q.u});
+            inputs.view_w = &service.store().View({q.layer, q.w});
+            inputs.opposite_size = g.NumVertices(Opposite(q.layer));
+            Rng unused(0);
+            const double want = PostProcess(plan, debias, inputs, unused);
+            EXPECT_EQ(std::bit_cast<uint64_t>(report.answers[i].estimate),
+                      std::bit_cast<uint64_t>(want))
+                << ToString(algorithm) << " " << SimdLevelName(level)
+                << " threads " << threads << " submission " << s
+                << " query " << i;
+          }
+        }
+      }
+    }
+  }
+  ForceSimdLevel(DetectedSimdLevel());
 }
 
 // --- Estimate semantics over the shared store.

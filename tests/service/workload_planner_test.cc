@@ -4,12 +4,14 @@
 
 #include "service/workload_planner.h"
 
+#include <algorithm>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "graph/generators.h"
 #include "service/query_service.h"
+#include "util/rng.h"
 
 namespace cne {
 namespace {
@@ -117,6 +119,45 @@ TEST(PlanWorkloadTest, ScratchResetsBetweenSubmissions) {
       PlanAll(planner, {{Layer::kLower, 1, 2}, {Layer::kLower, 3, 2}});
   ASSERT_EQ(second.groups.size(), 1u);
   EXPECT_EQ(second.groups[0].source, (LayeredVertex{Layer::kLower, 2}));
+}
+
+TEST(PlanWorkloadTest, EverySlotOfAGroupHasTheSourceAsAnEndpoint) {
+  // The service's blocked execute pairs each slot's other endpoint with
+  // its group's source view, so the source must be one endpoint of every
+  // query in the group, on the group's layer. Random mixed-layer
+  // submissions with self pairs and a gap in the admitted slots.
+  const BipartiteGraph g = TestGraph();
+  WorkloadPlanner planner(g);
+  Rng rng(26);
+  for (int round = 0; round < 20; ++round) {
+    std::vector<QueryPair> queries;
+    for (int i = 0; i < 200; ++i) {
+      const Layer layer = rng.Bernoulli(0.5) ? Layer::kUpper : Layer::kLower;
+      const uint64_t n = std::min<uint64_t>(g.NumVertices(layer), 6);
+      const VertexId u = static_cast<VertexId>(rng.UniformInt(n));
+      const VertexId w =
+          i % 7 == 0 ? u : static_cast<VertexId>(rng.UniformInt(n));
+      queries.push_back({layer, u, w});
+    }
+    std::vector<uint32_t> slots;
+    for (uint32_t i = 0; i < queries.size(); ++i) {
+      if (i % 5 != 3) slots.push_back(i);
+    }
+    const WorkloadPlan& plan = planner.Plan(queries, slots);
+    std::vector<uint32_t> placed;
+    for (const QueryGroup& group : plan.groups) {
+      for (uint32_t k = group.begin; k < group.end; ++k) {
+        const QueryPair& query = queries[plan.order[k]];
+        EXPECT_EQ(query.layer, group.source.layer) << "slot " << plan.order[k];
+        EXPECT_TRUE(query.u == group.source.id || query.w == group.source.id)
+            << "slot " << plan.order[k] << " in the group of "
+            << group.source.id;
+        placed.push_back(plan.order[k]);
+      }
+    }
+    std::sort(placed.begin(), placed.end());
+    EXPECT_EQ(placed, slots);
+  }
 }
 
 TEST(PlannedExecutionTest, PlannerAccountingIsReported) {
