@@ -2,14 +2,7 @@
 
 #include <cstdio>
 #include <map>
-#include <sstream>
-#include <thread>
 
-#if defined(__linux__)
-#include <sched.h>
-#endif
-
-#include "util/cpu_features.h"
 #include "util/timer.h"
 
 namespace cne {
@@ -58,46 +51,6 @@ const BipartiteGraph& CachedDataset(const DatasetSpec& spec) {
     std::fprintf(stderr, "[bench]   done in %.1fs\n", timer.Seconds());
   }
   return it->second;
-}
-
-std::string PhasesJson(const obs::MetricsSnapshot& metrics,
-                       const std::string& indent) {
-  std::ostringstream out;
-  out << "[";
-  bool first = true;
-  for (const obs::PhaseStats& phase : metrics.phases) {
-    if (!first) out << ",";
-    first = false;
-    out << "\n" << indent << "  {\"name\": \"" << phase.name
-        << "\", \"count\": " << phase.count
-        << ", \"total_seconds\": " << phase.total_seconds
-        << ", \"mean_seconds\": " << phase.mean_seconds
-        << ", \"p50_seconds\": " << phase.p50_seconds
-        << ", \"p90_seconds\": " << phase.p90_seconds
-        << ", \"p99_seconds\": " << phase.p99_seconds
-        << ", \"p999_seconds\": " << phase.p999_seconds
-        << ", \"max_seconds\": " << phase.max_seconds << "}";
-  }
-  if (!first) out << "\n" << indent;
-  out << "]";
-  return out.str();
-}
-
-std::string HardwareContextJson() {
-  int affinity = -1;
-#if defined(__linux__)
-  cpu_set_t mask;
-  CPU_ZERO(&mask);
-  if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
-    affinity = CPU_COUNT(&mask);
-  }
-#endif
-  std::ostringstream out;
-  out << "{\"hardware_concurrency\": " << std::thread::hardware_concurrency()
-      << ", \"affinity_cores\": " << affinity << ", \"simd_level\": \""
-      << SimdLevelName(ActiveSimdLevel()) << "\", \"simd_detected\": \""
-      << SimdLevelName(DetectedSimdLevel()) << "\"}";
-  return out.str();
 }
 
 }  // namespace bench

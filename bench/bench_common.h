@@ -11,7 +11,6 @@
 
 #include "eval/datasets.h"
 #include "graph/bipartite_graph.h"
-#include "obs/metrics.h"
 #include "util/cli.h"
 
 namespace cne {
@@ -44,22 +43,6 @@ void PrintHeader(const std::string& artifact, const std::string& summary,
 /// Returns the graph for `spec`, generating it on first use and caching it
 /// in-process (several harness phases reuse the same dataset).
 const BipartiteGraph& CachedDataset(const DatasetSpec& spec);
-
-// ---- Per-phase latency quantiles (obs/metrics.h) ----
-
-/// JSON array of per-phase latency rows from a metrics snapshot — the
-/// same schema as the "phases" array of MetricsSnapshot::ToJson, one
-/// phase per line prefixed with `indent`. Every bench section that runs
-/// a service embeds this so BENCH_*.json carries p50/p99/p999 per phase.
-std::string PhasesJson(const obs::MetricsSnapshot& metrics,
-                       const std::string& indent = "");
-
-/// JSON object describing the machine a perf number was measured on:
-/// `{"hardware_concurrency": N, "affinity_cores": M}`. The affinity
-/// count comes from the process scheduling mask and can be lower than
-/// hardware_concurrency inside containers or under taskset (-1 when the
-/// platform cannot report it).
-std::string HardwareContextJson();
 
 }  // namespace bench
 }  // namespace cne

@@ -38,8 +38,8 @@
 //
 // All kernels return exactly the same count on equivalent inputs at every
 // ISA level; the property tests (tests/graph/set_ops_test.cc,
-// tests/graph/simd_parity_test.cc) and the every-run self-check in
-// bench/ext_intersect.cc enforce this.
+// tests/graph/simd_parity_test.cc) enforce this at every level the
+// machine can execute.
 
 #ifndef CNE_GRAPH_SET_OPS_H_
 #define CNE_GRAPH_SET_OPS_H_
@@ -226,8 +226,8 @@ uint64_t IntersectProbeBitmap(std::span<const VertexId> probes,
 /// equals IntersectScalarMerge on the equivalent sorted inputs.
 uint64_t IntersectionSize(const SetView& a, const SetView& b);
 
-/// Name of the kernel the dispatcher would run for (a, b); for logs and the
-/// ext_intersect bench.
+/// Name of the kernel the dispatcher would run for (a, b); for logs and
+/// test messages.
 const char* DispatchedKernelName(const SetView& a, const SetView& b);
 
 /// One intersection of a blocked counts pass: `source` ∧ `partner`.

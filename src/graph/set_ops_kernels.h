@@ -23,7 +23,7 @@
 //   popcount        popcount(w)                      DenseBitset::Count
 //
 // All three agree bit-for-bit on every input; tests/graph/simd_parity
-// and the ext_intersect --self-check sweep enforce it at every level.
+// and tests/graph/set_ops_test enforce it at every level.
 // The function-pointer table is resolved per call from
 // ActiveSimdLevel() — one relaxed atomic load — so tests and benches
 // can re-point it mid-process via ForceSimdLevel().

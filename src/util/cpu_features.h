@@ -48,8 +48,8 @@ SimdLevel ActiveSimdLevel();
 
 /// Overrides ActiveSimdLevel() at runtime. Levels above
 /// DetectedSimdLevel() are clamped (with a warning) rather than allowed
-/// to emit illegal instructions; the parity tests and the ext_intersect
-/// bench sweep this across AvailableSimdLevels().
+/// to emit illegal instructions; the set-op and parity tests sweep this
+/// across AvailableSimdLevels().
 void ForceSimdLevel(SimdLevel level);
 
 /// Every level this machine can execute, ascending: {kScalar, ...,

@@ -2,7 +2,7 @@
 // the dispatcher must return exactly the scalar merge's count on the same
 // set pair, for every representation, across the full density range and
 // across skewed size ratios — including domains that are not multiples of
-// the 64-bit word size.
+// the 64-bit word size, and at every SIMD level the machine can execute.
 
 #include "graph/set_ops.h"
 
@@ -89,40 +89,51 @@ TEST(DenseBitsetTest, ToSortedVectorIsAscendingOnRandomInput) {
 
 TEST(SetOpsKernelsTest, AllKernelsAgreeAcrossDensityGrid) {
   Rng rng(17);
-  // Domains straddle word boundaries on purpose.
-  for (VertexId domain : {VertexId{1}, VertexId{63}, VertexId{64},
-                          VertexId{65}, VertexId{100}, VertexId{1000},
-                          VertexId{4097}}) {
-    for (double da : {0.0, 0.01, 0.1, 0.3, 0.7, 1.0}) {
-      for (double db : {0.0, 0.05, 0.5, 1.0}) {
+  // Domains straddle the word, AVX2 (256-bit) and AVX-512 (512-bit)
+  // strides on purpose; the last two are 256 words and 256 words plus a
+  // ragged 21 bits. 0.27 is the ε = 1 noisy-row density.
+  for (VertexId domain :
+       {VertexId{1}, VertexId{63}, VertexId{64}, VertexId{65}, VertexId{100},
+        VertexId{255}, VertexId{256}, VertexId{257}, VertexId{511},
+        VertexId{512}, VertexId{513}, VertexId{1000}, VertexId{4097},
+        VertexId{16384}, VertexId{16405}}) {
+    for (double da : {0.0, 0.01, 0.1, 0.27, 0.3, 0.7, 1.0}) {
+      for (double db : {0.0, 0.05, 0.27, 0.5, 1.0}) {
         const auto a = RandomSortedSet(domain, da, rng);
         const auto b = RandomSortedSet(domain, db, rng);
         const DenseBitset ba = ToBitset(a, domain);
         const DenseBitset bb = ToBitset(b, domain);
         const uint64_t want = ReferenceIntersection(a, b);
-
-        EXPECT_EQ(IntersectScalarMerge(a, b), want);
-        EXPECT_EQ(IntersectGalloping(a, b), want);
-        EXPECT_EQ(IntersectGalloping(b, a), want);
-        EXPECT_EQ(IntersectBitmapAnd(ba, bb), want);
-        EXPECT_EQ(IntersectProbeBitmap(a, bb), want);
-        EXPECT_EQ(IntersectProbeBitmap(b, ba), want);
-
-        // Dispatcher, every representation pairing.
         const SetView sa = SetView::Sorted(a);
         const SetView sb = SetView::Sorted(b);
         const SetView va = SetView::Bitmap(ba, a.size());
         const SetView vb = SetView::Bitmap(bb, b.size());
-        for (const SetView& x : {sa, va}) {
-          for (const SetView& y : {sb, vb}) {
-            EXPECT_EQ(IntersectionSize(x, y), want)
-                << domain << " " << da << "x" << db << " "
-                << DispatchedKernelName(x, y);
+
+        for (SimdLevel level : AvailableSimdLevels()) {
+          ForceSimdLevel(level);
+          const std::string cell = std::to_string(domain) + " " +
+                                   std::to_string(da) + "x" +
+                                   std::to_string(db) + " " +
+                                   SimdLevelName(level);
+          EXPECT_EQ(IntersectScalarMerge(a, b), want) << cell;
+          EXPECT_EQ(IntersectGalloping(a, b), want) << cell;
+          EXPECT_EQ(IntersectGalloping(b, a), want) << cell;
+          EXPECT_EQ(IntersectBitmapAnd(ba, bb), want) << cell;
+          EXPECT_EQ(IntersectProbeBitmap(a, bb), want) << cell;
+          EXPECT_EQ(IntersectProbeBitmap(b, ba), want) << cell;
+
+          // Dispatcher, every representation pairing.
+          for (const SetView& x : {sa, va}) {
+            for (const SetView& y : {sb, vb}) {
+              EXPECT_EQ(IntersectionSize(x, y), want)
+                  << cell << " " << DispatchedKernelName(x, y);
+            }
           }
         }
       }
     }
   }
+  ForceSimdLevel(DetectedSimdLevel());
 }
 
 TEST(SetOpsKernelsTest, FuzzRandomPairs) {

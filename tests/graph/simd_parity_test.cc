@@ -3,8 +3,8 @@
 // ISA level this machine can execute, across a density grid, fuzzed
 // operands, and the ragged-tail domains (domain % 64, % 256, % 512 != 0)
 // where the AVX2 scalar epilogue and the AVX-512 masked loads do their
-// work. ForceSimdLevel drives the same override CI exercises externally
-// via CNE_SIMD_LEVEL.
+// work. ForceSimdLevel drives the same override that CNE_SIMD_LEVEL sets
+// at start-up (tests/util/cpu_features_test.cc checks that read).
 
 #include <algorithm>
 #include <cstdint>

@@ -93,7 +93,7 @@ TEST(MetricsOverheadTest, FullInstrumentationCostsUnderFivePercent) {
   // best rep skews a min-based ratio arbitrarily, while a slice spanning
   // a back-to-back off/full pair inflates both sides and leaves that
   // pair's ratio honest — and the median discards the few pairs it cuts
-  // through. (Same statistic the intersect bench uses for dispatch_gap.)
+  // through.
   double off_best = 1e100;
   double full_best = 1e100;
   double overhead = 1.0;

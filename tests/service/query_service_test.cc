@@ -1,12 +1,17 @@
 #include "service/query_service.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
+#include <numeric>
+#include <string>
+#include <unordered_set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "graph/generators.h"
+#include "ldp/randomized_response.h"
 #include "service/workload.h"
 #include "util/cpu_features.h"
 #include "util/statistics.h"
@@ -385,6 +390,76 @@ TEST(QueryServiceTest, BlockedViewPairAnswersEqualPerPairPostProcess) {
     }
   }
   ForceSimdLevel(DetectedSimdLevel());
+}
+
+// --- Replay contract: every served view is the release that its vertex's
+// --- substream regenerates, for fresh singleton releases and hot-set
+// --- groups alike, at any thread count.
+
+TEST(QueryServiceTest, ServedViewsEqualTheirReplayedRelease) {
+  // Power-law upper layer over 20,000 lower ids: views of 313 words, the
+  // last ragged.
+  Rng graph_rng(27);
+  const BipartiteGraph g =
+      ChungLuPowerLaw(2'000, 20'000, 60'000, 2.1, graph_rng);
+  constexpr Layer kLayer = Layer::kUpper;
+  constexpr double kEpsilon = 1.0;
+  std::vector<VertexId> by_degree(g.NumVertices(kLayer));
+  std::iota(by_degree.begin(), by_degree.end(), VertexId{0});
+  std::ranges::stable_sort(by_degree, [&](VertexId a, VertexId b) {
+    return g.Degree(kLayer, a) > g.Degree(kLayer, b);
+  });
+  std::erase_if(by_degree,
+                [&](VertexId v) { return g.Degree(kLayer, v) == 0; });
+  ASSERT_GE(by_degree.size(), 96u);
+
+  // The hub_release shape: each query pairs a distinct hub with a distinct
+  // low-degree vertex, so every group is a singleton of fresh releases.
+  std::vector<std::vector<QueryPair>> submissions(1);
+  for (size_t i = 0; i < 48; ++i) {
+    submissions[0].push_back(
+        {kLayer, by_degree[i], by_degree[by_degree.size() - 1 - i]});
+  }
+  Rng workload_rng(28);
+  submissions.push_back(MakeHotSetWorkload(g, kLayer, 400, 64, workload_rng));
+
+  const double epsilon1 =
+      MakeProtocolPlan(ServiceAlgorithm::kOneR, kEpsilon, 0.5).epsilon1;
+  for (int threads : {1, 3}) {
+    ServiceOptions options;
+    options.algorithm = ServiceAlgorithm::kOneR;
+    options.epsilon = kEpsilon;
+    options.num_threads = threads;
+    options.seed = 11;
+    QueryService service(g, options);
+    std::vector<LayeredVertex> released;
+    std::unordered_set<uint64_t> seen;
+    for (const std::vector<QueryPair>& submission : submissions) {
+      const ServiceReport report = service.Submit(submission);
+      ASSERT_EQ(report.rejected, 0u);
+      for (const ServiceAnswer& answer : report.answers) {
+        for (VertexId id : {answer.query.u, answer.query.w}) {
+          const LayeredVertex v{answer.query.layer, id};
+          if (seen.insert(PackLayeredVertex(v)).second) released.push_back(v);
+        }
+      }
+    }
+    EXPECT_EQ(service.store().stats().releases, released.size());
+
+    const Rng base = Rng(options.seed).Fork(0);
+    for (const LayeredVertex& v : released) {
+      Rng rng = base.Fork(PackLayeredVertex(v));
+      const NoisyNeighborSet replay =
+          ApplyRandomizedResponse(g, v, epsilon1, rng);
+      const NoisyNeighborSet& served = service.store().View(v);
+      const std::string label = "threads " + std::to_string(threads) +
+                                " vertex " + std::to_string(v.id);
+      EXPECT_EQ(served.Size(), replay.Size()) << label;
+      EXPECT_TRUE(std::ranges::equal(served.View().bitmap().Words(),
+                                     replay.View().bitmap().Words()))
+          << label;
+    }
+  }
 }
 
 // --- Estimate semantics over the shared store.

@@ -5,6 +5,9 @@
 
 #include "util/cpu_features.h"
 
+#include <algorithm>
+#include <cstdlib>
+
 #include <gtest/gtest.h>
 
 namespace cne {
@@ -16,6 +19,21 @@ class CpuFeaturesTest : public ::testing::Test {
   // order never matters.
   void TearDown() override { ForceSimdLevel(DetectedSimdLevel()); }
 };
+
+// First in the file, so in a full run it still reads the level before any
+// ForceSimdLevel. tests/CMakeLists.txt runs it alone a second time with
+// CNE_SIMD_LEVEL=scalar; without the variable it skips.
+TEST_F(CpuFeaturesTest, EnvironmentLevelCapsTheFirstActiveLevel) {
+  const char* env = std::getenv("CNE_SIMD_LEVEL");
+  if (env == nullptr || env[0] == '\0') GTEST_SKIP() << "CNE_SIMD_LEVEL unset";
+  const SimdLevel requested =
+      ParseSimdLevel(env).value_or(DetectedSimdLevel());
+  const SimdLevel want = static_cast<SimdLevel>(std::min(
+      static_cast<int>(requested), static_cast<int>(DetectedSimdLevel())));
+  EXPECT_EQ(ActiveSimdLevel(), want)
+      << "CNE_SIMD_LEVEL=" << env << ", detected "
+      << SimdLevelName(DetectedSimdLevel());
+}
 
 TEST_F(CpuFeaturesTest, DetectedLevelIsStableAndInRange) {
   const SimdLevel first = DetectedSimdLevel();
